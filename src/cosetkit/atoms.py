@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .coset import CosetDigraph, generation_connectivity, transpose_spec
-from .digraph import (atoms_bruteforce, neighbor_set,
-                      vertex_connectivity_transitive)
+from .coset import CosetDigraph, generation_connectivity, oracle_kappa, transpose_spec
+from .digraph import atoms_bruteforce, neighbor_set
 from .errors import CrossCheckError, GroupError
-from .perms import SubgroupHandle, compose, subgroup_generated
+from .perms import SubgroupHandle, compose
 
 MAX_SCAN_GENERATORS = 12
 
@@ -58,14 +57,11 @@ def subgroup_atom_scan(cd: CosetDigraph) -> list[AtomCandidate]:
     if len(labels) > MAX_SCAN_GENERATORS:
         raise GroupError(f"connection set has {len(labels)} generators, "
                          f"scan cap is {MAX_SCAN_GENERATORS}")
-    group, subgroup = cd.group, cd.subgroup
-    n = cd.graph.vertex_count
     candidates = []
     for r in range(len(labels)):
         for chosen in combinations(labels, r):
-            sub = subgroup_generated(group, subgroup,
-                                     [cd.connection[lbl] for lbl in chosen])
-            if len(sub) == len(group):
+            sub = cd.closure(chosen)
+            if len(sub) == len(cd.group):
                 continue
             vertex_set = sorted({cd.vertex_of(x) for x in sub.members})
             inside = set(vertex_set)
@@ -151,7 +147,7 @@ def verify_atom_theory(cd: CosetDigraph, bruteforce_cap: int = 128,
         raise GroupError(f"{n} vertices exceeds brute-force cap {bruteforce_cap}")
     if cd.graph.is_complete():
         raise GroupError("complete digraph: no atoms to verify")
-    kappa = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
+    kappa = oracle_kappa(cd)
     limit = (n - kappa) // 2
     sides = (("forward", cd), ("transpose", transpose_spec(cd)))
 
@@ -182,9 +178,7 @@ def verify_atom_theory(cd: CosetDigraph, bruteforce_cap: int = 128,
     base_atom = next(a for a in atoms if inst.base_vertex in a)
     union = inst.union_of_cosets(base_atom)
     s0 = tuple(lbl for lbl, p in inst.connection.items() if p in union)
-    sub = subgroup_generated(inst.group, inst.subgroup,
-                             [inst.connection[lbl] for lbl in s0])
-    if sub.member_set != union:
+    if inst.closure(s0).member_set != union:
         raise CrossCheckError("union of the base atom is not <H, S0>")
 
     base_sorted = sorted(base_atom)

@@ -22,10 +22,9 @@ import time
 from . import atoms as atoms_mod
 from . import theorems
 from .coset import (CosetDigraph, CosetDigraphSpec, build,
-                    generation_connectivity)
+                    generation_connectivity, oracle_kappa)
 from .cp import CPParams, cp_spec
-from .digraph import (DEFAULT_BRUTEFORCE_CAP, edge_connectivity,
-                      vertex_connectivity_transitive)
+from .digraph import DEFAULT_BRUTEFORCE_CAP, edge_connectivity
 from .errors import (CapExceeded, CrossCheckError, GroupError,
                      NotStronglyConnected, SpecError)
 from .perms import DEFAULT_ENUM_CAP, parse_cycles, print_cycles
@@ -51,14 +50,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+def _integer(value, what: str, minimum: int) -> int:
+    """``value`` if it is an integer (JSON booleans excluded) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise SpecError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _enumeration_cap(settings: dict) -> int:
     env = os.environ.get(ENUM_CAP_ENV)
     if env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise SpecError(f"{ENUM_CAP_ENV} must be an integer, got {env!r}") from None
-    return settings.get("enumeration_cap", DEFAULT_ENUM_CAP)
+        return _integer(value, ENUM_CAP_ENV, 1)
+    return _integer(settings.get("enumeration_cap", DEFAULT_ENUM_CAP),
+                    "settings.enumeration_cap", 1)
 
 
 def load_spec_document(path: str) -> tuple[CosetDigraphSpec, dict]:
@@ -78,6 +86,8 @@ def load_spec_document(path: str) -> tuple[CosetDigraphSpec, dict]:
     if not isinstance(settings, dict):
         raise SpecError("settings must be an object")
     cap = _enumeration_cap(settings)
+    if "bruteforce_cap" in settings:
+        _integer(settings["bruteforce_cap"], "settings.bruteforce_cap", 0)
 
     explicit_keys = {"degree", "group_generators", "subgroup_generators",
                      "connection_set"}
@@ -89,7 +99,7 @@ def load_spec_document(path: str) -> tuple[CosetDigraphSpec, dict]:
         if doc.get("family") != "cp":
             raise SpecError(f"unknown family {doc.get('family')!r}")
         try:
-            params = CPParams(int(doc["n"]), int(doc["k"]))
+            params = CPParams(_integer(doc["n"], "n", 2), _integer(doc["k"], "k", 1))
         except KeyError as exc:
             raise SpecError(f"cp family spec is missing {exc}") from None
         return cp_spec(params, cap), settings
@@ -99,17 +109,20 @@ def load_spec_document(path: str) -> tuple[CosetDigraphSpec, dict]:
         if key not in doc:
             raise SpecError(f"spec is missing {key!r}")
 
-    degree = doc["degree"]
-    if not isinstance(degree, int) or degree < 1:
-        raise SpecError(f"degree must be a positive integer, got {degree!r}")
+    degree = _integer(doc["degree"], "degree", 1)
+
+    def parse(text, what):
+        if not isinstance(text, str):
+            raise SpecError(f"bad {what}: expected a cycle string, got {text!r}")
+        try:
+            return parse_cycles(text, degree)
+        except GroupError as exc:
+            raise SpecError(f"bad {what}: {exc}") from None
 
     def parse_list(raw, what):
         if not isinstance(raw, list):
             raise SpecError(f"{what} must be a list of cycle strings")
-        try:
-            return tuple(parse_cycles(text, degree) for text in raw)
-        except GroupError as exc:
-            raise SpecError(f"bad {what}: {exc}") from None
+        return tuple(parse(text, what) for text in raw)
 
     group_gens = parse_list(doc["group_generators"], "group_generators")
     subgroup_gens = parse_list(doc.get("subgroup_generators", []),
@@ -121,11 +134,11 @@ def load_spec_document(path: str) -> tuple[CosetDigraphSpec, dict]:
     for entry in doc["connection_set"]:
         if not isinstance(entry, dict) or "perm" not in entry:
             raise SpecError(f"connection_set entries need a 'perm': {entry!r}")
-        try:
-            perm = parse_cycles(entry["perm"], degree)
-        except GroupError as exc:
-            raise SpecError(f"bad connection permutation: {exc}") from None
-        connection.append((entry.get("label", print_cycles(perm)), perm))
+        perm = parse(entry["perm"], "connection permutation")
+        label = entry.get("label", print_cycles(perm))
+        if not isinstance(label, str):
+            raise SpecError(f"connection-set label must be a string, got {label!r}")
+        connection.append((label, perm))
 
     try:
         spec = CosetDigraphSpec(degree, group_gens, subgroup_gens,
@@ -169,7 +182,7 @@ def analyze_instance(spec: CosetDigraphSpec, settings: dict,
         return report, EXIT_OK
 
     t0 = time.perf_counter()
-    oracle = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
+    oracle = oracle_kappa(cd)
     forward, _ = atoms_mod.kappa_group_theoretic(cd)
     timings["kappa_s"] = round(time.perf_counter() - t0, 3)
     agree = forward.kappa_group == oracle
@@ -265,7 +278,7 @@ def run_check(theorem: str, cd: CosetDigraph, args) -> theorems.HypothesisReport
                     theorem,
                     (theorems.Hypothesis("a hierarchical ordering exists", False,
                                          "no generator ordering grows at every step"),),
-                    False, None, theorems.oracle_kappa(cd), True)
+                    False, None, oracle_kappa(cd), True)
         return theorems.check_hierarchical_gen(cd, ordering, variant)
     if theorem == "hierarchical_cayley":
         return theorems.verify_hierarchical_cayley(cd)

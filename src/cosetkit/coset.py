@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, strongly_connected_components
+from .digraph import (Digraph, strongly_connected_components,
+                      vertex_connectivity_transitive)
 from .errors import CrossCheckError, GroupError
 from .perms import (DEFAULT_ENUM_CAP, GroupContext, Permutation, SubgroupHandle,
                     canonical_coset_rep, compose, double_coset, double_coset_index,
@@ -48,7 +49,8 @@ def labeled(perms, labels=None) -> tuple[tuple[str, Permutation], ...]:
 
 
 class CosetDigraph:
-    """A built instance: group data plus the labeled digraph."""
+    """A built instance: group data plus the labeled digraph.  The closures
+    <H, S0>, connectivity, flow kappa and transpose are cached on first use."""
 
     def __init__(self, spec: CosetDigraphSpec, group: GroupContext,
                  subgroup: SubgroupHandle, vertices: list[Permutation],
@@ -65,6 +67,9 @@ class CosetDigraph:
         self.connection = connection           # surviving label -> permutation
         self.base_vertex = self.vertex_index[canonical_coset_rep(group.identity, subgroup)]
         self._transpose: CosetDigraph | None = None
+        self._closures: dict[frozenset[str], SubgroupHandle] = {}
+        self._connectivity: tuple[bool, SubgroupHandle, list[list[int]]] | None = None
+        self._kappa: int | None = None
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -73,6 +78,19 @@ class CosetDigraph:
     @property
     def degree(self) -> int:
         return sum(self.degrees.values())
+
+    def closure(self, labels) -> SubgroupHandle:
+        """<H, S0> for the connection labels S0, closed over the generators
+        of H and the chosen connection permutations."""
+        key = frozenset(labels)
+        if key not in self._closures:
+            unknown = key - self.connection.keys()
+            if unknown:
+                raise GroupError(f"unknown connection labels {sorted(unknown)}")
+            gens = self.spec.subgroup_generators + tuple(
+                p for lbl, p in self.connection.items() if lbl in key)
+            self._closures[key] = subgroup_generated(self.group, None, gens)
+        return self._closures[key]
 
     def vertex_of(self, g: Permutation) -> int:
         """Vertex index of the coset gH."""
@@ -154,22 +172,33 @@ def generation_connectivity(cd: CosetDigraph):
     """Connectivity decided group-theoretically: the digraph is connected
     iff H and the connection set generate G, and in general the components
     are the coset sets (g<H,S>)/H.  Cross-checked against the digraph's
-    strongly connected components."""
-    generated = subgroup_generated(cd.group, cd.subgroup,
-                                   list(cd.connection.values()))
+    strongly connected components; computed once per instance."""
+    if cd._connectivity is not None:
+        return cd._connectivity
+    generated = cd.closure(cd.labels)
     connected = len(generated) == len(cd.group)
-
-    comp_of_rep: dict[Permutation, list[int]] = {}
-    for vertex, rep in enumerate(cd.vertices):
-        key = canonical_coset_rep(rep, generated)
-        comp_of_rep.setdefault(key, []).append(vertex)
-    components = sorted((sorted(vs) for vs in comp_of_rep.values()),
-                        key=lambda c: c[0])
+    if connected:
+        components = [list(range(len(cd.vertices)))]
+    else:
+        comp_of_rep: dict[Permutation, list[int]] = {}
+        for vertex, rep in enumerate(cd.vertices):
+            key = canonical_coset_rep(rep, generated)
+            comp_of_rep.setdefault(key, []).append(vertex)
+        components = sorted(comp_of_rep.values(), key=lambda c: c[0])
 
     scc = strongly_connected_components(cd.graph)
     if sorted(map(frozenset, scc)) != sorted(map(frozenset, components)):
         raise CrossCheckError("group-theoretic components disagree with SCCs")
-    return connected, generated, components
+    cd._connectivity = (connected, generated, components)
+    return cd._connectivity
+
+
+def oracle_kappa(cd: CosetDigraph) -> int:
+    """Vertex connectivity by Dinic flows from the base vertex (valid since
+    coset digraphs are vertex-transitive); computed once per instance."""
+    if cd._kappa is None:
+        cd._kappa = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
+    return cd._kappa
 
 
 def verify_automorphism(cd: CosetDigraph, g: Permutation) -> bool:

@@ -16,7 +16,7 @@ from math import factorial
 from .coset import CosetDigraph, CosetDigraphSpec, build
 from .errors import CrossCheckError, GroupError
 from .perms import (DEFAULT_ENUM_CAP, Permutation, SubgroupHandle,
-                    canonical_coset_rep, compose, normalizes, subgroup_generated)
+                    canonical_coset_rep, compose, normalizes)
 from .theorems import sub_instance
 
 
@@ -82,8 +82,7 @@ def verify_neighbor_multiplier(p: CPParams, F: SubgroupHandle,
     due to gamma(n-k+1) number exactly |F/H| * k, verified by enumeration."""
     cd = cd if cd is not None else cp_build(p)
     h = cd.subgroup
-    gprime = subgroup_generated(
-        cd.group, h, [gamma(j, p.n) for j in range(2, p.n - p.k + 1)])
+    gprime = cd.closure(gamma_label(j) for j in range(2, p.n - p.k + 1))
     if not (h.member_set <= F.member_set and F.member_set <= gprime.member_set):
         raise GroupError("F must satisfy H <= F <= G'")
     top = gamma(p.n - p.k + 1, p.n)

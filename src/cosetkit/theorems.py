@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .coset import CosetDigraph, CosetDigraphSpec, build, generation_connectivity
-from .digraph import e_atoms_bruteforce, edge_connectivity, vertex_connectivity_transitive
+from .coset import (CosetDigraph, CosetDigraphSpec, build, generation_connectivity,
+                    oracle_kappa)
+from .digraph import e_atoms_bruteforce, edge_connectivity
 from .errors import GroupError
-from .perms import Permutation, compose, double_coset, inverse, subgroup_generated
+from .perms import SubgroupHandle, double_coset, inverse
 
 THEOREM_IDS = ("decomposition", "corollary1", "corollary1_1", "hierarchical_gen",
                "hier1", "hierarchical_cayley", "hierarchical_gen_c", "edgec")
@@ -48,10 +49,6 @@ class HypothesisReport:
         }
 
 
-def oracle_kappa(cd: CosetDigraph) -> int:
-    return vertex_connectivity_transitive(cd.graph, cd.base_vertex)
-
-
 def sub_instance(cd: CosetDigraph, labels) -> CosetDigraph:
     """The instance on <H, labels> with the same subgroup H."""
     gens = tuple(cd.connection[lbl] for lbl in labels)
@@ -76,9 +73,42 @@ def _require_partition(cd: CosetDigraph, blocks) -> None:
                          f"{cd.labels}")
 
 
-def _double_coset_of(members, r: Permutation) -> frozenset[Permutation]:
-    # full enumeration of G'rG'; no coset-representative shortcuts
-    return frozenset(compose(compose(x, r), y) for x in members for y in members)
+def _chain(cd: CosetDigraph, blocks) -> list[SubgroupHandle]:
+    """The partial subgroups G_i = <H, S_1 u ... u S_i>, one per block."""
+    used: list[str] = []
+    chain = []
+    for block in blocks:
+        used.extend(block)
+        chain.append(cd.closure(used))
+    return chain
+
+
+def _first_repeat(chain) -> int | None:
+    """First i with G_i = G_i+1 (the chain is nested, so equal orders
+    mean equal subgroups), or None when the chain strictly grows."""
+    return next((i for i in range(len(chain) - 1)
+                 if len(chain[i]) == len(chain[i + 1])), None)
+
+
+def _double_coset_clash(cd: CosetDigraph, gp: SubgroupHandle, labels,
+                        name: str) -> str | None:
+    """Witness for the first pair a, b of labels with gp a gp = gp b gp but
+    <H, a> != <H, b>, writing gp as ``name``; None when no pair clashes."""
+    for a, b in combinations(labels, 2):
+        if cd.connection[b] in double_coset(gp, cd.connection[a]) and \
+                cd.closure([a]) != cd.closure([b]):
+            return f"{name}{a}{name} = {name}{b}{name} but <H,{a}> != <H,{b}>"
+    return None
+
+
+def _conclude(theorem_id: str, cd: CosetDigraph, hyps, bound: int) -> HypothesisReport:
+    """Report for a theorem concluding kappa = bound, verified against the
+    flow oracle whenever every hypothesis holds."""
+    applicable = all(h.holds for h in hyps)
+    computed = oracle_kappa(cd)
+    return HypothesisReport(theorem_id, tuple(hyps), applicable,
+                            bound if applicable else None, computed,
+                            computed == bound if applicable else True)
 
 
 def check_decomposition(cd: CosetDigraph, r1, r2) -> HypothesisReport:
@@ -88,23 +118,15 @@ def check_decomposition(cd: CosetDigraph, r1, r2) -> HypothesisReport:
     r1, r2 = tuple(r1), tuple(r2)
     _require_partition(cd, (r1, r2))
     _require_connected(cd)
-    gp = subgroup_generated(cd.group, cd.subgroup, [cd.connection[lbl] for lbl in r1])
+    gp = cd.closure(r1)
 
     offenders = [lbl for lbl in r2 if cd.connection[lbl] in gp.member_set]
     hyp1 = Hypothesis("G' = <H, R1> contains no member of R2", not offenders,
                       f"{offenders[0]} lies in G'" if offenders else None)
 
-    hyp2_holds, witness = True, None
-    for a, b in combinations(r2, 2):
-        pa, pb = cd.connection[a], cd.connection[b]
-        if _double_coset_of(gp.members, pa) == _double_coset_of(gp.members, pb):
-            if subgroup_generated(cd.group, cd.subgroup, [pa]) != \
-                    subgroup_generated(cd.group, cd.subgroup, [pb]):
-                hyp2_holds, witness = False, (
-                    f"G'{a}G' = G'{b}G' but <H,{a}> != <H,{b}>")
-                break
+    witness = _double_coset_clash(cd, gp, r2, "G'")
     hyp2 = Hypothesis("same G'-double-coset members of R2 generate equal <H, r>",
-                      hyp2_holds, witness)
+                      witness is None, witness)
 
     applicable = hyp1.holds and hyp2.holds
     computed = oracle_kappa(cd)
@@ -131,34 +153,21 @@ def check_tower(cd: CosetDigraph, blocks, variant: str = "corollary1") -> Hypoth
     k = len(blocks)
     h_order = len(cd.subgroup)
 
-    chain = []
-    gens: list[Permutation] = []
-    for block in blocks:
-        gens.extend(cd.connection[lbl] for lbl in block)
-        chain.append(subgroup_generated(cd.group, cd.subgroup, gens))
+    chain = _chain(cd, blocks)
     d_block = [sum(cd.degrees[lbl] for lbl in block) for block in blocks]
     d_cum = [sum(d_block[:i + 1]) for i in range(k)]
 
     hyps = []
-    repeat = next((i for i in range(k - 1) if len(chain[i]) == len(chain[i + 1])), None)
+    repeat = _first_repeat(chain)
     hyps.append(Hypothesis("the subgroups G_i are distinct", repeat is None,
                            None if repeat is None else
                            f"G_{repeat + 1} = G_{repeat + 2}"))
 
-    holds, witness = True, None
-    for i in range(1, k):
-        members = chain[i - 1].members
-        for a, b in combinations(blocks[i], 2):
-            pa, pb = cd.connection[a], cd.connection[b]
-            if _double_coset_of(members, pa) == _double_coset_of(members, pb) and \
-                    subgroup_generated(cd.group, cd.subgroup, [pa]) != \
-                    subgroup_generated(cd.group, cd.subgroup, [pb]):
-                holds, witness = False, f"G_{i}{a}G_{i} = G_{i}{b}G_{i} but <H,{a}> != <H,{b}>"
-                break
-        if not holds:
-            break
+    clashes = (_double_coset_clash(cd, chain[i - 1], blocks[i], f"G_{i}")
+               for i in range(1, k))
+    witness = next(filter(None, clashes), None)
     hyps.append(Hypothesis("same-double-coset members of S_i+1 generate equal <H, r>",
-                           holds, witness))
+                           witness is None, witness))
 
     base = sub_instance(cd, blocks[0])
     kappa_base = oracle_kappa(base)
@@ -184,50 +193,34 @@ def check_tower(cd: CosetDigraph, blocks, variant: str = "corollary1") -> Hypoth
                                f"d_S_{bad + 2} = {d_block[bad + 1]} > d_{bad + 1} "
                                f"= {d_cum[bad]}"))
 
-    applicable = all(h.holds for h in hyps)
-    computed = oracle_kappa(cd)
-    bound = cd.degree if applicable else None
-    consistent = (computed == bound) if applicable else True
-    return HypothesisReport(variant, tuple(hyps), applicable, bound,
-                            computed, consistent)
+    return _conclude(variant, cd, hyps, cd.degree)
 
 
 def hierarchical_order_search(cd: CosetDigraph):
     """First generator ordering (lexicographic in spec order) making the
     partial subgroups <H, s_1..s_i> strictly grow, or None."""
     labels = cd.labels
-    sizes: dict[frozenset[str], int] = {}
 
-    def size_of(chosen: frozenset[str]) -> int:
-        if chosen not in sizes:
-            sizes[chosen] = len(subgroup_generated(
-                cd.group, cd.subgroup, [cd.connection[lbl] for lbl in sorted(chosen)]))
-        return sizes[chosen]
-
-    def extend(prefix: tuple[str, ...], used: frozenset[str], current: int):
+    def extend(prefix: tuple[str, ...], current: int):
         if len(prefix) == len(labels):
             return prefix
         for lbl in labels:
-            if lbl in used:
+            if lbl in prefix:
                 continue
-            grown = size_of(used | {lbl})
+            grown = len(cd.closure(prefix + (lbl,)))
             if grown > current:
-                hit = extend(prefix + (lbl,), used | {lbl}, grown)
+                hit = extend(prefix + (lbl,), grown)
                 if hit is not None:
                     return hit
         return None
 
-    return extend((), frozenset(), len(cd.subgroup))
+    return extend((), len(cd.subgroup))
 
 
 def is_minimal(cd: CosetDigraph) -> bool:
     """True iff no proper subset of the connection set generates G with H."""
-    order = len(cd.group)
-    for dropped in cd.labels:
-        rest = [cd.connection[lbl] for lbl in cd.labels if lbl != dropped]
-        if len(subgroup_generated(cd.group, cd.subgroup, rest)) == order:
-            return False
-    return True
+    return all(len(cd.closure(lbl for lbl in cd.labels if lbl != dropped))
+               < len(cd.group) for dropped in cd.labels)
 
 
 def check_hierarchical_gen(cd: CosetDigraph, ordering,
@@ -242,16 +235,11 @@ def check_hierarchical_gen(cd: CosetDigraph, ordering,
     _require_connected(cd)
     k = len(ordering)
 
-    chain = []
-    gens: list[Permutation] = []
-    for lbl in ordering:
-        gens.append(cd.connection[lbl])
-        chain.append(subgroup_generated(cd.group, cd.subgroup, gens))
+    chain = _chain(cd, [(lbl,) for lbl in ordering])
     d_cum = [sum(cd.degrees[lbl] for lbl in ordering[:i + 1]) for i in range(k)]
 
     hyps = []
-    repeat = next((i for i in range(k - 1) if len(chain[i]) == len(chain[i + 1])),
-                  None)
+    repeat = _first_repeat(chain)
     hyps.append(Hypothesis("the ordering is hierarchical (subgroups all distinct)",
                            repeat is None,
                            None if repeat is None else
@@ -278,13 +266,8 @@ def check_hierarchical_gen(cd: CosetDigraph, ordering,
                                None if distinct else
                                f"Hs_1H = Hs_1^-1H for s_1 = {ordering[0]}"))
 
-    applicable = all(h.holds for h in hyps)
-    computed = oracle_kappa(cd)
-    bound = cd.degree if applicable else None
-    consistent = (computed == bound) if applicable else True
     theorem_id = "hierarchical_gen" if variant == "standard" else "hier1"
-    return HypothesisReport(theorem_id, tuple(hyps), applicable, bound,
-                            computed, consistent)
+    return _conclude(theorem_id, cd, hyps, cd.degree)
 
 
 def verify_hierarchical_cayley(cd: CosetDigraph) -> HypothesisReport:
@@ -298,10 +281,7 @@ def verify_hierarchical_cayley(cd: CosetDigraph) -> HypothesisReport:
     _require_connected(cd)
     hyps = (Hypothesis("H is trivial", True),
             Hypothesis("a hierarchical ordering exists", True, ",".join(ordering)))
-    computed = oracle_kappa(cd)
-    bound = len(cd.labels)
-    return HypothesisReport("hierarchical_cayley", hyps, True, bound, computed,
-                            computed == bound)
+    return _conclude("hierarchical_cayley", cd, hyps, len(cd.labels))
 
 
 def check_hierarchical_gen_c(cd: CosetDigraph, s_labels, sprime_labels) -> HypothesisReport:
@@ -316,8 +296,7 @@ def check_hierarchical_gen_c(cd: CosetDigraph, s_labels, sprime_labels) -> Hypot
     _require_partition(cd, (s_labels, sprime_labels))
     _require_connected(cd)
 
-    s_perms = [cd.connection[lbl] for lbl in s_labels]
-    s_images = {p.image for p in s_perms}
+    s_images = {cd.connection[lbl].image for lbl in s_labels}
     hyps = []
 
     stray = [lbl for lbl in sprime_labels
@@ -331,29 +310,17 @@ def check_hierarchical_gen_c(cd: CosetDigraph, s_labels, sprime_labels) -> Hypot
                            f"{low[0]} has order {cd.connection[low[0]].order()}"
                            if low else None))
 
-    chain = []
-    gens: list[Permutation] = []
-    for lbl in s_labels:
-        gens.append(cd.connection[lbl])
-        chain.append(subgroup_generated(cd.group, cd.subgroup, gens))
-    hierarchical = all(len(chain[i]) < len(chain[i + 1])
-                       for i in range(len(chain) - 1))
-    generates = len(chain[-1]) == len(cd.group)
+    chain = _chain(cd, [(lbl,) for lbl in s_labels])
+    witness = ("<S> != G" if len(chain[-1]) != len(cd.group) else
+               "a subgroup repeats" if _first_repeat(chain) is not None else None)
     hyps.append(Hypothesis("G(G, {e}, S) is hierarchical in the given order",
-                           hierarchical and generates,
-                           None if hierarchical and generates else
-                           ("<S> != G" if not generates else "a subgroup repeats")))
+                           witness is None, witness))
 
-    pair = subgroup_generated(cd.group, cd.subgroup, s_perms[:2])
+    pair = cd.closure(s_labels[:2])
     hyps.append(Hypothesis("|<s_1, s_2>| != 4", len(pair) != 4,
                            None if len(pair) != 4 else f"|<s_1,s_2>| = 4"))
 
-    applicable = all(h.holds for h in hyps)
-    computed = oracle_kappa(cd)
-    bound = len(cd.labels) if applicable else None
-    consistent = (computed == bound) if applicable else True
-    return HypothesisReport("hierarchical_gen_c", tuple(hyps), applicable,
-                            bound, computed, consistent)
+    return _conclude("hierarchical_gen_c", cd, hyps, len(cd.labels))
 
 
 def verify_edge_connectivity(cd: CosetDigraph) -> HypothesisReport:

@@ -1,10 +1,11 @@
 """Command-line interface: commands, exit codes, schemas, determinism."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from cosetkit import cli
+from cosetkit import cli, coset
 from cosetkit.cp import gamma_label
 
 S4_MIXED_SPEC = {
@@ -109,12 +110,51 @@ class TestAnalyze:
         assert code == 1
 
     def test_oracle_disagreement_is_exit_two(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "vertex_connectivity_transitive",
-                            lambda g, base: 99)
+        monkeypatch.setattr(cli, "oracle_kappa", lambda cd: 99)
         path = write_spec(tmp_path, CP42_SPEC)
         code, out, _ = run(capsys, "analyze", path)
         assert code == 2
         assert json.loads(out)["kappa"]["agree"] is False
+
+    def test_connectivity_and_flow_kappa_computed_once(self, tmp_path, capsys,
+                                                        monkeypatch):
+        calls = Counter()
+        for name in ("vertex_connectivity_transitive",
+                     "strongly_connected_components"):
+            def counted(*args, _name=name, _original=getattr(coset, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(coset, name, counted)
+        path = write_spec(tmp_path, S4_MIXED_SPEC)
+        code, _, _ = run(capsys, "analyze", path)
+        assert code == 0
+        assert calls == {"vertex_connectivity_transitive": 1,
+                         "strongly_connected_components": 1}
+
+    @pytest.mark.parametrize("doc, env, field", [
+        ({"family": "cp", "n": "x"}, None, "n must be"),
+        (dict(S4_MIXED_SPEC, settings={"enumeration_cap": "big"}), None,
+         "settings.enumeration_cap"),
+        (dict(S4_MIXED_SPEC, settings={"bruteforce_cap": "x"}), None,
+         "settings.bruteforce_cap"),
+        (dict(S4_MIXED_SPEC, connection_set=[{"label": 5, "perm": "(1 2)"}]),
+         None, "label"),
+        (dict(S4_MIXED_SPEC, connection_set=[{"label": "a", "perm": 5}]),
+         None, "cycle string"),
+        (dict(S4_MIXED_SPEC, degree=True), None, "degree"),
+        (S4_MIXED_SPEC, "-5", cli.ENUM_CAP_ENV),
+    ], ids=["cp_n_string", "enumeration_cap_string", "bruteforce_cap_string",
+            "label_integer", "perm_integer", "degree_boolean", "env_cap_negative"])
+    def test_hostile_input_is_one_line_error(self, tmp_path, capsys, monkeypatch,
+                                             doc, env, field):
+        if env is not None:
+            monkeypatch.setenv(cli.ENUM_CAP_ENV, env)
+        path = write_spec(tmp_path, doc)
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
 
     def test_enum_cap_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(cli.ENUM_CAP_ENV, "10")

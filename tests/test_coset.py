@@ -2,11 +2,12 @@
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from corpus import (instance, mixed_gens_spec, z6_disconnected_spec,
-                    z6_spec, SMALL_NAMES)
+                    z6_spec, CORPUS_NAMES, SMALL_NAMES)
 from cosetkit import (CosetDigraphSpec, GroupError, build, compose,
                       dedupe_generators, double_coset, enumerate_closure,
                       generation_connectivity, inverse, is_strongly_connected,
@@ -225,3 +226,19 @@ class TestTransposeSpec:
             cd = instance(name)
             tr = transpose_spec(cd)
             assert sorted(cd.degrees.values()) == sorted(tr.degrees.values()), name
+
+
+class TestClosure:
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_matches_closure_seeded_with_all_of_h(self, name):
+        cd = instance(name)
+        for r in range(len(cd.labels) + 1):
+            for chosen in combinations(cd.labels, r):
+                seeded = subgroup_generated(cd.group, cd.subgroup,
+                                            [cd.connection[lbl] for lbl in chosen])
+                assert cd.closure(chosen).member_set == seeded.member_set
+                assert cd.closure(reversed(chosen)) is cd.closure(chosen)
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(GroupError):
+            instance("s4_mixed").closure(["a", "no-such-label"])

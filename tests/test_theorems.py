@@ -226,6 +226,17 @@ class TestHierarchicalGenC:
 
 
 class TestFailureWitnesses:
+    def test_double_coset_clash_witness_text(self):
+        cd = instance("s4_mixed")
+        tower = check_tower(cd, [["a"], ["b", "ba"]], "corollary1")
+        assert not tower.hypotheses[1].holds
+        assert tower.hypotheses[1].witness == \
+            "G_1bG_1 = G_1baG_1 but <H,b> != <H,ba>"
+        decomposition = check_decomposition(cd, ["a"], ["b", "ba"])
+        assert not decomposition.hypotheses[1].holds
+        assert decomposition.hypotheses[1].witness == \
+            "G'bG' = G'baG' but <H,b> != <H,ba>"
+
     def test_every_failed_hypothesis_carries_a_witness(self):
         reports = [
             check_decomposition(instance("s4_mixed"), ["a"], ["b", "ba"]),
