@@ -11,7 +11,7 @@ from .cp import (CPParams, cp_build, cp_degree_profile, cp_spec, gamma,
 from .digraph import (AtomSet, CutCertificate, Digraph, atoms_bruteforce,
                       e_atoms_bruteforce, edge_connectivity, is_strongly_connected,
                       neighbor_set, out_edge_count, strongly_connected_components,
-                      transpose, vertex_connectivity, vertex_connectivity_transitive)
+                      transpose, vertex_connectivity_transitive)
 from .errors import (CapExceeded, CompleteDigraphError, CrossCheckError,
                      GroupError, NotStronglyConnected, SpecError)
 from .perms import (GroupContext, Permutation, SubgroupHandle,

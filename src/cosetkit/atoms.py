@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .coset import CosetDigraph, generation_connectivity, oracle_kappa, transpose_spec
-from .digraph import atoms_bruteforce, neighbor_set
-from .errors import CrossCheckError, GroupError
+from .digraph import DEFAULT_SUBSET_BUDGET, atoms_bruteforce, neighbor_set
+from .errors import CapExceeded, CrossCheckError, GroupError
 from .perms import SubgroupHandle, compose
 
 MAX_SCAN_GENERATORS = 12
@@ -55,8 +55,9 @@ def subgroup_atom_scan(cd: CosetDigraph) -> list[AtomCandidate]:
     """
     labels = cd.labels
     if len(labels) > MAX_SCAN_GENERATORS:
-        raise GroupError(f"connection set has {len(labels)} generators, "
-                         f"scan cap is {MAX_SCAN_GENERATORS}")
+        raise CapExceeded(f"connection set has {len(labels)} generators, above "
+                          f"the scan cap MAX_SCAN_GENERATORS = {MAX_SCAN_GENERATORS}",
+                          count=len(labels))
     candidates = []
     for r in range(len(labels)):
         for chosen in combinations(labels, r):
@@ -130,7 +131,7 @@ class AtomTheoryReport:
 
 
 def verify_atom_theory(cd: CosetDigraph, bruteforce_cap: int = 128,
-                       budget: int = 2_000_000) -> AtomTheoryReport:
+                       budget: int = DEFAULT_SUBSET_BUDGET) -> AtomTheoryReport:
     """Brute-force the atoms on whichever side satisfies the size
     assumption and check the structure theory against them:
 
@@ -144,7 +145,8 @@ def verify_atom_theory(cd: CosetDigraph, bruteforce_cap: int = 128,
     """
     n = cd.graph.vertex_count
     if n > bruteforce_cap:
-        raise GroupError(f"{n} vertices exceeds brute-force cap {bruteforce_cap}")
+        raise CapExceeded(f"{n} vertices exceeds the brute-force cap "
+                          f"bruteforce_cap = {bruteforce_cap}", count=n)
     if cd.graph.is_complete():
         raise GroupError("complete digraph: no atoms to verify")
     kappa = oracle_kappa(cd)

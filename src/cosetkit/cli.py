@@ -85,6 +85,9 @@ def load_spec_document(path: str) -> tuple[CosetDigraphSpec, dict]:
     settings = doc.get("settings", {})
     if not isinstance(settings, dict):
         raise SpecError("settings must be an object")
+    unknown = set(settings) - {"enumeration_cap", "bruteforce_cap"}
+    if unknown:
+        raise SpecError(f"unknown settings: {sorted(unknown)}")
     cap = _enumeration_cap(settings)
     if "bruteforce_cap" in settings:
         _integer(settings["bruteforce_cap"], "settings.bruteforce_cap", 0)
@@ -134,6 +137,9 @@ def load_spec_document(path: str) -> tuple[CosetDigraphSpec, dict]:
     for entry in doc["connection_set"]:
         if not isinstance(entry, dict) or "perm" not in entry:
             raise SpecError(f"connection_set entries need a 'perm': {entry!r}")
+        unknown = set(entry) - {"label", "perm"}
+        if unknown:
+            raise SpecError(f"unknown connection_set entry fields: {sorted(unknown)}")
         perm = parse(entry["perm"], "connection permutation")
         label = entry.get("label", print_cycles(perm))
         if not isinstance(label, str):
@@ -190,7 +196,7 @@ def analyze_instance(spec: CosetDigraphSpec, settings: dict,
                        "agree": agree}
 
     t0 = time.perf_counter()
-    report["lambda"] = edge_connectivity(cd.graph)[0]
+    report["lambda"] = edge_connectivity(cd.graph, cd.base_vertex)[0]
     timings["lambda_s"] = round(time.perf_counter() - t0, 3)
 
     n = cd.graph.vertex_count
@@ -269,16 +275,7 @@ def run_check(theorem: str, cd: CosetDigraph, args) -> theorems.HypothesisReport
         return theorems.check_tower(cd, _parse_blocks(args.partition), theorem)
     if theorem in ("hierarchical_gen", "hier1"):
         variant = "standard" if theorem == "hierarchical_gen" else "hier1"
-        if args.order is not None:
-            ordering = _parse_labels(args.order)
-        else:
-            ordering = theorems.hierarchical_order_search(cd)
-            if ordering is None:
-                return theorems.HypothesisReport(
-                    theorem,
-                    (theorems.Hypothesis("a hierarchical ordering exists", False,
-                                         "no generator ordering grows at every step"),),
-                    False, None, oracle_kappa(cd), True)
+        ordering = None if args.order is None else _parse_labels(args.order)
         return theorems.check_hierarchical_gen(cd, ordering, variant)
     if theorem == "hierarchical_cayley":
         return theorems.verify_hierarchical_cayley(cd)

@@ -197,7 +197,7 @@ def oracle_kappa(cd: CosetDigraph) -> int:
     """Vertex connectivity by Dinic flows from the base vertex (valid since
     coset digraphs are vertex-transitive); computed once per instance."""
     if cd._kappa is None:
-        cd._kappa = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
+        cd._kappa, _ = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
     return cd._kappa
 
 

@@ -1,7 +1,9 @@
 """Generic finite digraph engine.
 
-Strong connectivity, neighbor sets, exact vertex/edge connectivity via
-unit-capacity max-flow (Dinic), and brute-force atom / e-atom enumeration.
+Strong connectivity, neighbor sets, exact vertex/edge connectivity of
+vertex-transitive digraphs by unit-capacity max-flows (Dinic) from one base
+vertex, with minimum-cut certificates, and brute-force atom / e-atom
+enumeration.
 """
 
 from __future__ import annotations
@@ -227,14 +229,15 @@ class _UnitFlow:
                             it[stack[-1]] += 1
                 if not reached:
                     break
-                bottleneck = min(cap[parent[v]] for v in _path_vertices(parent, s, t, to))
+                # one unit per path is valid on integer capacities, and the
+                # unit split or edge arcs make that every path's bottleneck
                 v = t
                 while v != s:
                     e = parent[v]
-                    cap[e] -= bottleneck
-                    cap[e ^ 1] += bottleneck
+                    cap[e] -= 1
+                    cap[e ^ 1] += 1
                     v = to[e ^ 1]
-                flow += bottleneck
+                flow += 1
         return flow
 
     def residual_reachable(self, s: int) -> set[int]:
@@ -248,13 +251,6 @@ class _UnitFlow:
                     seen.add(v)
                     queue.append(v)
         return seen
-
-
-def _path_vertices(parent: dict[int, int], s: int, t: int, to: list[int]) -> Iterator[int]:
-    v = t
-    while v != s:
-        yield v
-        v = to[parent[v] ^ 1]
 
 
 def _vertex_split_network(g: Digraph) -> _UnitFlow:
@@ -282,81 +278,62 @@ def _require_strongly_connected(g: Digraph) -> None:
         raise NotStronglyConnected("digraph is not strongly connected")
 
 
-def vertex_connectivity(g: Digraph) -> tuple[int, CutCertificate | None]:
-    """Exact vertex connectivity by vertex-split max-flow over all ordered
-    non-adjacent pairs.  Complete digraphs yield n-1 with no certificate."""
+def _least_cut(net: _UnitFlow, source: int, sinks: Iterable[int],
+               bound: int) -> tuple[int, int, set[int]]:
+    """Least max-flow from ``source`` over ``sinks``, each flow stopped once
+    it reaches the best value so far (starting from ``bound``).  The flow to
+    the best sink is re-run in full, and its value, that sink and the
+    source's residual-reachable set (the source side of a minimum cut) are
+    returned."""
+    best, best_sink = bound, None
+    for t in sinks:
+        net.reset()
+        f = net.maxflow(source, t, limit=best)
+        if f < best:
+            best, best_sink = f, t
+    if best_sink is None:
+        raise CrossCheckError(f"no sink has a flow below the bound {bound}")
+    net.reset()
+    if net.maxflow(source, best_sink) != best:
+        raise CrossCheckError("re-run max-flow disagrees with the sweep's minimum")
+    return best, best_sink, net.residual_reachable(source)
+
+
+def vertex_connectivity_transitive(g: Digraph,
+                                   base: int) -> tuple[int, CutCertificate | None]:
+    """Vertex connectivity of a vertex-transitive digraph: the least local
+    connectivity from ``base`` to a non-neighbor, with a minimum separator
+    as certificate.  Complete digraphs yield n-1 with no certificate."""
     _require_strongly_connected(g)
     n = g.vertex_count
     if g.is_complete():
         return n - 1, None
-    net = _vertex_split_network(g)
-    # every non-adjacent pair has local connectivity <= n-2, so the first
-    # pair scanned already improves on the initial bound
-    best = n - 1
-    best_pair: tuple[int, int] | None = None
-    for s in range(n):
-        for t in range(n):
-            if s == t or g.has_edge(s, t):
-                continue
-            net.reset()
-            f = net.maxflow(2 * s + 1, 2 * t, limit=best)
-            if f < best:
-                best, best_pair = f, (s, t)
-    s, t = best_pair
-    net.reset()
-    flow = net.maxflow(2 * s + 1, 2 * t)
-    reach = net.residual_reachable(2 * s + 1)
+    sinks = (2 * t for t in range(n) if t != base and not g.has_edge(base, t))
+    kappa, sink, reach = _least_cut(_vertex_split_network(g), 2 * base + 1, sinks, n - 1)
     separator = tuple(v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach)
-    if len(separator) != flow or flow != best:
+    if len(separator) != kappa:
         raise CrossCheckError("vertex min-cut extraction disagrees with max-flow value")
-    return best, CutCertificate("vertex", best, separator, (s, t))
+    return kappa, CutCertificate("vertex", kappa, separator, (base, sink // 2))
 
 
-def vertex_connectivity_transitive(g: Digraph, base: int) -> int:
-    """Vertex connectivity under the assumption that g is vertex transitive:
-    the minimum over all targets of the local connectivity base -> v.  Must
-    agree with vertex_connectivity on every instance (tested, not assumed)."""
-    _require_strongly_connected(g)
-    n = g.vertex_count
-    if g.is_complete():
-        return n - 1
-    net = _vertex_split_network(g)
-    best = n - 1
-    for t in range(n):
-        if t == base or g.has_edge(base, t):
-            continue
-        net.reset()
-        best = min(best, net.maxflow(2 * base + 1, 2 * t, limit=best))
-    return best
-
-
-def edge_connectivity(g: Digraph) -> tuple[int, CutCertificate | None]:
-    """Exact edge connectivity via unit-capacity max-flow.  Uses a fixed
-    source s and minimizes flow(s, t) and flow(t, s) over all other t,
-    which is exact for every strongly connected digraph."""
+def edge_connectivity(g: Digraph, base: int) -> tuple[int, CutCertificate | None]:
+    """Edge connectivity of a vertex-transitive digraph: the least local
+    edge connectivity from ``base`` to another vertex, with a minimum edge
+    cut as certificate.  A minimum cut separates some pair (x, y), and an
+    automorphism taking x to ``base`` turns it into a cut from ``base``, so
+    flows into ``base`` are not needed.  A one-vertex digraph yields 0 with
+    no certificate."""
     _require_strongly_connected(g)
     n = g.vertex_count
     if n <= 1:
         return 0, None
-    net = _edge_network(g)
-    # some scanned pair always attains lambda <= min out-degree, so f <= best
-    # fires at least once and best_pair ends on a pair achieving the minimum
-    best = min(len(row) for row in g.adj)
-    best_pair: tuple[int, int] | None = None
-    for t in range(1, n):
-        for pair in ((0, t), (t, 0)):
-            net.reset()
-            f = net.maxflow(pair[0], pair[1], limit=best + 1)
-            if f <= best:
-                best, best_pair = f, pair
-    s, t = best_pair
-    net.reset()
-    flow = net.maxflow(s, t)
-    reach = net.residual_reachable(s)
+    lam, sink, reach = _least_cut(_edge_network(g), base,
+                                  (t for t in range(n) if t != base),
+                                  len(g.adj[base]) + 1)
     cut = tuple((u, v) for u, v in g.edges() if u in reach and v not in reach)
-    if len(cut) != flow or flow != best:
+    if len(cut) != lam:
         raise CrossCheckError("edge min-cut extraction disagrees with max-flow value")
-    return best, CutCertificate("edge", best, cut, (s, t))
+    return lam, CutCertificate("edge", lam, cut, (base, sink))
 
 
 def _scan_minimum_subsets(g: Digraph, accept, max_size: int,
@@ -381,7 +358,7 @@ def _scan_minimum_subsets(g: Digraph, accept, max_size: int,
     return (), max_size
 
 
-def atoms_bruteforce(g: Digraph, kappa: int | None = None,
+def atoms_bruteforce(g: Digraph, kappa: int,
                      cap: int = DEFAULT_BRUTEFORCE_CAP,
                      max_size: int | None = None,
                      side: str = "forward",
@@ -399,8 +376,6 @@ def atoms_bruteforce(g: Digraph, kappa: int | None = None,
     n = g.vertex_count
     if n > cap:
         raise CapExceeded(f"digraph has {n} vertices, brute-force cap is {cap}")
-    if kappa is None:
-        kappa = vertex_connectivity(g)[0]
     adj_sets = g.adj_sets
     limit = n - kappa - 1 if max_size is None else min(max_size, n - kappa - 1)
 
@@ -417,7 +392,7 @@ def atoms_bruteforce(g: Digraph, kappa: int | None = None,
     return AtomSet("atom", side, members, kappa)
 
 
-def e_atoms_bruteforce(g: Digraph, lam: int | None = None,
+def e_atoms_bruteforce(g: Digraph, lam: int,
                        cap: int = DEFAULT_BRUTEFORCE_CAP,
                        side: str = "forward",
                        budget: int = DEFAULT_SUBSET_BUDGET) -> AtomSet:
@@ -427,8 +402,6 @@ def e_atoms_bruteforce(g: Digraph, lam: int | None = None,
     n = g.vertex_count
     if n > cap:
         raise CapExceeded(f"digraph has {n} vertices, brute-force cap is {cap}")
-    if lam is None:
-        lam = edge_connectivity(g)[0]
     adj_sets = g.adj_sets
 
     def accept(combo: tuple[int, ...]) -> bool:

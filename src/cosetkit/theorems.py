@@ -223,12 +223,21 @@ def is_minimal(cd: CosetDigraph) -> bool:
                < len(cd.group) for dropped in cd.labels)
 
 
-def check_hierarchical_gen(cd: CosetDigraph, ordering,
+def check_hierarchical_gen(cd: CosetDigraph, ordering=None,
                            variant: str = "standard") -> HypothesisReport:
     """Hierarchical ordering plus degree conditions force kappa = d.  The
-    hier1 variant replaces |G_1/H| >= d_2 with Hs_1^-1 H != Hs_1 H."""
+    hier1 variant replaces |G_1/H| >= d_2 with Hs_1^-1 H != Hs_1 H.  With
+    no ``ordering``, the first hierarchical one is searched for."""
     if variant not in ("standard", "hier1"):
         raise GroupError(f"unknown variant {variant!r}")
+    theorem_id = "hierarchical_gen" if variant == "standard" else "hier1"
+    if ordering is None:
+        _require_connected(cd)
+        ordering = hierarchical_order_search(cd)
+        if ordering is None:
+            hyp = Hypothesis("a hierarchical ordering exists", False,
+                             "no generator ordering grows at every step")
+            return _conclude(theorem_id, cd, (hyp,), cd.degree)
     ordering = tuple(ordering)
     if sorted(ordering) != sorted(cd.labels):
         raise GroupError(f"{ordering} is not an ordering of {cd.labels}")
@@ -266,7 +275,6 @@ def check_hierarchical_gen(cd: CosetDigraph, ordering,
                                None if distinct else
                                f"Hs_1H = Hs_1^-1H for s_1 = {ordering[0]}"))
 
-    theorem_id = "hierarchical_gen" if variant == "standard" else "hier1"
     return _conclude(theorem_id, cd, hyps, cd.degree)
 
 
@@ -327,7 +335,7 @@ def verify_edge_connectivity(cd: CosetDigraph) -> HypothesisReport:
     """Edge connectivity equals the degree, and every e-atom is a single
     vertex.  Unconditional for connected instances."""
     _require_connected(cd)
-    lam, _ = edge_connectivity(cd.graph)
+    lam, _ = edge_connectivity(cd.graph, cd.base_vertex)
     d = cd.degree
     eatoms = e_atoms_bruteforce(cd.graph, lam=lam, cap=cd.graph.vertex_count)
     singletons = all(len(a) == 1 for a in eatoms.members)

@@ -41,7 +41,7 @@ def test_criterion_1_mixed_generator_instances():
         b_inv = inverse(b)
         ab_inv = compose(a, b_inv)
 
-        oracle = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
+        oracle, _ = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
         forward, _ = kappa_group_theoretic(cd, oracle_kappa=oracle)
         assert oracle == 2 and forward.kappa_group == 2
 
@@ -75,8 +75,8 @@ def test_criterion_2_cp_family():
             expected = {gamma_label(j): 1 for j in range(2, n - k + 1)}
             expected[gamma_label(n - k + 1)] = k
             assert profile == expected, (n, k)
-            kappa = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
-            lam, _ = edge_connectivity(cd.graph)
+            kappa, _ = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
+            lam, _ = edge_connectivity(cd.graph, cd.base_vertex)
             assert kappa == n - 1 and lam == n - 1, (n, k)
             count += 1
     elapsed = time.perf_counter() - t0
@@ -90,7 +90,7 @@ def test_criterion_3_oracle_equivalence():
     assert len(CORPUS_NAMES) >= 15
     for name in CORPUS_NAMES:
         cd = instance(name)
-        oracle = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
+        oracle, _ = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
         forward, backward = kappa_group_theoretic(cd, oracle_kappa=oracle)
         assert forward.kappa_group == oracle == backward.kappa_group, name
     elapsed = time.perf_counter() - t0
@@ -180,7 +180,7 @@ def test_criterion_8_atom_structure_lemmas():
         cd = instance(name)
         g = cd.graph
         n = g.vertex_count
-        kappa = vertex_connectivity_transitive(g, cd.base_vertex)
+        kappa, _ = vertex_connectivity_transitive(g, cd.base_vertex)
         atoms = atoms_bruteforce(g, kappa=kappa, cap=30)
         # exchange inequality on sampled (atom, part) pairs
         for _ in range(200):
@@ -193,7 +193,7 @@ def test_criterion_8_atom_structure_lemmas():
                     na, _ = neighbor_set(g, a)
                     assert len(na - (b | nb)) < len(nb & a), name
         # e-atom trichotomy on every sampled lambda-boundary set
-        lam, _ = edge_connectivity(g)
+        lam, _ = edge_connectivity(g, cd.base_vertex)
         eatoms = e_atoms_bruteforce(g, lam=lam, cap=n)
         candidates = [frozenset([v]) for v in range(n)]
         candidates += [frozenset(range(n)) - {v} for v in range(n)]

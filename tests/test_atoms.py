@@ -3,7 +3,8 @@
 import pytest
 
 from corpus import CORPUS_NAMES, SMALL_NAMES, instance, z6_disconnected_spec
-from cosetkit import (GroupError, base_atom_candidate, build,
+from cosetkit import (CapExceeded, CosetDigraphSpec, GroupError,
+                      base_atom_candidate, build, enumerate_closure,
                       kappa_group_theoretic, neighbor_set, parse_cycles,
                       subgroup_atom_scan, transpose_spec,
                       vertex_connectivity_transitive, verify_atom_theory)
@@ -36,6 +37,16 @@ class TestSubgroupScan:
         assert len(scan) == 1
         assert scan[0].labels == ()
         assert scan[0].vertex_set == (cd.base_vertex,)
+
+    def test_scan_cap_is_a_cap(self):
+        # 13 distinct elements of S_4 with trivial H: one label over the cap
+        gens = (parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4))
+        elements = [p for p in enumerate_closure(4, gens).elements if p.order() > 1]
+        connection = tuple((f"g{i}", p) for i, p in enumerate(elements[:13]))
+        cd = build(CosetDigraphSpec(4, gens, (), connection))
+        assert len(cd.labels) == 13
+        with pytest.raises(CapExceeded, match="MAX_SCAN_GENERATORS = 12"):
+            subgroup_atom_scan(cd)
 
     def test_cp52_prefix_subgroup_size(self):
         # <H, gamma(2), gamma(3)> in CP(5,2) has (n-k)! = 6 cosets
@@ -94,7 +105,7 @@ class TestKappaGroupTheoretic:
     def test_matches_flow_oracle_on_corpus(self):
         for name in CORPUS_NAMES:
             cd = instance(name)
-            oracle = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
+            oracle, _ = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
             forward, _ = kappa_group_theoretic(cd, oracle_kappa=oracle)
             assert forward.kappa_group == oracle, name
             assert forward.oracle_kappa == oracle, name
@@ -149,5 +160,5 @@ class TestVerifyAtomTheory:
 
     def test_cap_enforced(self):
         cd = instance("s4_mixed")
-        with pytest.raises(GroupError):
+        with pytest.raises(CapExceeded, match="bruteforce_cap = 18"):
             verify_atom_theory(cd, bruteforce_cap=18)

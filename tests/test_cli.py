@@ -143,8 +143,15 @@ class TestAnalyze:
          None, "cycle string"),
         (dict(S4_MIXED_SPEC, degree=True), None, "degree"),
         (S4_MIXED_SPEC, "-5", cli.ENUM_CAP_ENV),
+        (dict(S4_MIXED_SPEC, settings={"enumeraton_cap": 5}), None,
+         "enumeraton_cap"),
+        ({"family": "cp", "n": 4, "k": 2, "settings": {"cap": 5}}, None, "cap"),
+        (dict(S4_MIXED_SPEC, connection_set=[{"perm": "(1 2)", "lable": "a"}]),
+         None, "lable"),
     ], ids=["cp_n_string", "enumeration_cap_string", "bruteforce_cap_string",
-            "label_integer", "perm_integer", "degree_boolean", "env_cap_negative"])
+            "label_integer", "perm_integer", "degree_boolean", "env_cap_negative",
+            "settings_unknown_key", "cp_settings_unknown_key",
+            "connection_entry_unknown_key"])
     def test_hostile_input_is_one_line_error(self, tmp_path, capsys, monkeypatch,
                                              doc, env, field):
         if env is not None:
@@ -220,6 +227,16 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "hierarchical_gen", path)
         assert code == 3
         assert json.loads(out)["applicable"] is False
+
+    def test_hierarchical_search_on_disconnected_instance(self, tmp_path, capsys):
+        # <(1 2 3)> is a proper subgroup of S_4 and no ordering of the two
+        # generators grows at every step: the search must not reach the flow
+        doc = {"degree": 4, "group_generators": ["(1 2)", "(1 2 3 4)"],
+               "connection_set": [{"perm": "(1 2 3)"}, {"perm": "(1 3 2)"}]}
+        path = write_spec(tmp_path, doc)
+        for theorem in ("hierarchical_gen", "hier1"):
+            code, out, err = run(capsys, "check", theorem, path)
+            assert (code, out, err) == (1, "", "error: instance is disconnected\n")
 
     def test_tower_with_partition(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"family": "cp", "n": 5, "k": 2})

@@ -12,7 +12,8 @@ from cosetkit import (CapExceeded, CompleteDigraphError, Digraph,
                       e_atoms_bruteforce, edge_connectivity,
                       is_strongly_connected, neighbor_set, out_edge_count,
                       strongly_connected_components, transpose,
-                      vertex_connectivity, vertex_connectivity_transitive)
+                      vertex_connectivity_transitive)
+from cosetkit.digraph import _UnitFlow
 
 
 def directed_cycle(n):
@@ -30,6 +31,13 @@ def random_strongly_connected(rng, n, extra_edges):
         if u != v:
             adj[u].add(v)
     return Digraph([sorted(row) for row in adj])
+
+
+def random_circulant(rng, n, extra_jumps):
+    """Cay(Z_n, {1} plus random jumps): vertex-transitive and strongly
+    connected, so the one-base-vertex routines apply."""
+    jumps = {1} | {rng.randrange(2, n) for _ in range(extra_jumps)}
+    return Digraph([sorted((v + j) % n for j in jumps) for v in range(n)])
 
 
 class TestBasics:
@@ -97,28 +105,28 @@ class TestNeighborSet:
 
 class TestVertexConnectivity:
     def test_cycle(self):
-        kappa, cert = vertex_connectivity(directed_cycle(6))
+        kappa, cert = vertex_connectivity_transitive(directed_cycle(6), 0)
         assert kappa == 1
         assert cert.kind == "vertex" and len(cert.separator) == 1
 
     def test_complete(self):
         for n in (1, 2, 4):
-            kappa, cert = vertex_connectivity(complete_digraph(n))
+            kappa, cert = vertex_connectivity_transitive(complete_digraph(n), 0)
             assert kappa == n - 1 and cert is None
 
     def test_not_strongly_connected(self):
         with pytest.raises(NotStronglyConnected):
-            vertex_connectivity(Digraph([[1], [2], []]))
+            vertex_connectivity_transitive(Digraph([[1], [2], []]), 0)
 
     def test_separator_disconnects_and_is_minimal(self):
         rng = random.Random(9)
         for _ in range(15):
-            g = random_strongly_connected(rng, 9, 12)
-            kappa, cert = vertex_connectivity(g)
+            g = random_circulant(rng, 9, 3)
+            kappa, cert = vertex_connectivity_transitive(g, 0)
             if cert is None:
                 continue
             s, t = cert.separated_pair
-            assert len(cert.separator) == kappa
+            assert s == 0 and len(cert.separator) == kappa
             assert not _connects(g, s, t, removed=set(cert.separator))
             for smaller in combinations(cert.separator, kappa - 1):
                 assert _connects(g, s, t, removed=set(smaller))
@@ -126,25 +134,27 @@ class TestVertexConnectivity:
     def test_against_edmonds_karp_oracle(self):
         rng = random.Random(29)
         for _ in range(12):
-            g = random_strongly_connected(rng, 8, 10)
-            assert vertex_connectivity(g)[0] == helpers.vertex_connectivity_oracle(g)
+            g = random_circulant(rng, 8, 3)
+            kappa, _ = vertex_connectivity_transitive(g, rng.randrange(8))
+            assert kappa == helpers.vertex_connectivity_oracle(g)
 
     def test_transitive_variant_on_cycles(self):
         for base in range(5):
-            assert vertex_connectivity_transitive(directed_cycle(5), base) == 1
+            kappa, cert = vertex_connectivity_transitive(directed_cycle(5), base)
+            assert kappa == 1 and cert.separated_pair[0] == base
 
     def test_transitive_equals_full_on_corpus(self):
         for name in SMALL_NAMES:
             cd = instance(name)
-            full, _ = vertex_connectivity(cd.graph)
-            assert vertex_connectivity_transitive(cd.graph, cd.base_vertex) == full, name
+            kappa, _ = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
+            assert kappa == helpers.vertex_connectivity_oracle(cd.graph), name
 
     def test_kappa_invariant_under_transpose(self):
         for name in SMALL_NAMES:
             cd = instance(name)
-            kappa = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
+            kappa, _ = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
             assert vertex_connectivity_transitive(transpose(cd.graph),
-                                                  cd.base_vertex) == kappa, name
+                                                  cd.base_vertex)[0] == kappa, name
 
 
 def _small_side_atoms(cd):
@@ -153,7 +163,7 @@ def _small_side_atoms(cd):
     g = cd.graph
     if g.is_complete() or g.vertex_count > 30:
         return None
-    kappa = vertex_connectivity_transitive(g, cd.base_vertex)
+    kappa, _ = vertex_connectivity_transitive(g, cd.base_vertex)
     limit = (g.vertex_count - kappa) // 2
     sides = (g, transpose(g))
     for k in range(1, limit + 1):
@@ -180,42 +190,65 @@ def _connects(g, s, t, removed):
 
 class TestEdgeConnectivity:
     def test_cycle(self):
-        lam, cert = edge_connectivity(directed_cycle(4))
+        lam, cert = edge_connectivity(directed_cycle(4), 0)
         assert lam == 1 and len(cert.separator) == 1
 
     def test_complete(self):
-        lam, _ = edge_connectivity(complete_digraph(5))
+        lam, _ = edge_connectivity(complete_digraph(5), 0)
         assert lam == 4
 
     def test_cut_disconnects(self):
         rng = random.Random(31)
         for _ in range(10):
-            g = random_strongly_connected(rng, 8, 10)
-            lam, cert = edge_connectivity(g)
+            g = random_circulant(rng, 8, 3)
+            lam, cert = edge_connectivity(g, 0)
+            s, t = cert.separated_pair
             removed = set(cert.separator)
             adj = [[v for v in g.adj[u] if (u, v) not in removed]
                    for u in range(g.vertex_count)]
-            assert not helpers.is_strongly_connected_oracle(adj)
+            assert t not in helpers.reachable(adj, s)
 
     def test_against_edmonds_karp_oracle(self):
         rng = random.Random(37)
         for _ in range(12):
-            g = random_strongly_connected(rng, 8, 12)
-            assert edge_connectivity(g)[0] == helpers.edge_connectivity_oracle(g)
+            g = random_circulant(rng, 8, 3)
+            lam, _ = edge_connectivity(g, rng.randrange(8))
+            assert lam == helpers.edge_connectivity_oracle(g)
 
     def test_whitney_chain_on_random(self):
         rng = random.Random(41)
         for _ in range(12):
-            g = random_strongly_connected(rng, 9, 14)
-            kappa, _ = vertex_connectivity(g)
-            lam, _ = edge_connectivity(g)
+            g = random_circulant(rng, 9, 3)
+            kappa, _ = vertex_connectivity_transitive(g, 0)
+            lam, _ = edge_connectivity(g, 0)
             assert kappa <= lam <= min(len(row) for row in g.adj)
+
+    def test_one_flow_per_sink_plus_certificate(self, monkeypatch):
+        # from one base vertex: n - 1 sweep flows and one certificate re-run,
+        # where sweeping both directions took 2(n - 1) + 1
+        calls = []
+        original = _UnitFlow.maxflow
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_UnitFlow, "maxflow", counted)
+        for name in ("s4_mixed", "cp_4_2", "q8"):
+            cd = instance(name)
+            n = cd.graph.vertex_count
+            assert not cd.graph.is_complete()
+            calls.clear()
+            lam, _ = edge_connectivity(cd.graph, cd.base_vertex)
+            assert lam == cd.degree, name
+            assert len(calls) == n, name
+            assert all(source == cd.base_vertex for source, _ in calls), name
 
 
 class TestAtoms:
     def test_cycle_atoms_are_singletons(self):
         g = directed_cycle(6)
-        atoms = atoms_bruteforce(g)
+        atoms = atoms_bruteforce(g, kappa=1)
         expected = helpers.atoms_fullscan_oracle(g, 1)
         assert set(atoms.members) == expected
         assert all(len(a) == 1 for a in atoms.members)
@@ -228,18 +261,18 @@ class TestAtoms:
             g = random_strongly_connected(rng, 7, 8)
             if g.is_complete():
                 continue
-            kappa, _ = vertex_connectivity(g)
+            kappa = helpers.vertex_connectivity_oracle(g)
             atoms = atoms_bruteforce(g, kappa=kappa)
             assert set(atoms.members) == helpers.atoms_fullscan_oracle(g, kappa)
             checked += 1
 
     def test_complete_digraph_has_none(self):
         with pytest.raises(CompleteDigraphError):
-            atoms_bruteforce(complete_digraph(4))
+            atoms_bruteforce(complete_digraph(4), kappa=3)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            atoms_bruteforce(directed_cycle(25), cap=18)
+            atoms_bruteforce(directed_cycle(25), kappa=1, cap=18)
 
     def test_max_size_returns_empty(self):
         # 6-cycle atoms are singletons, so a max_size search below 1 is
@@ -277,7 +310,7 @@ class TestSimplecLemma:
             cd = instance(name)
             g = cd.graph
             n = g.vertex_count
-            kappa = vertex_connectivity_transitive(g, cd.base_vertex)
+            kappa, _ = vertex_connectivity_transitive(g, cd.base_vertex)
             atoms = atoms_bruteforce(g, kappa=kappa, cap=30)
             for _ in range(300):
                 size = rng.randrange(1, n)
@@ -294,12 +327,12 @@ class TestSimplecLemma:
 class TestEAtoms:
     def test_cycle(self):
         g = directed_cycle(5)
-        eatoms = e_atoms_bruteforce(g)
+        eatoms = e_atoms_bruteforce(g, lam=1)
         assert set(eatoms.members) == helpers.e_atoms_fullscan_oracle(g, 1)
 
     def test_complete_digraph_singletons(self):
         g = complete_digraph(4)
-        eatoms = e_atoms_bruteforce(g)
+        eatoms = e_atoms_bruteforce(g, lam=3)
         assert all(len(a) == 1 for a in eatoms.members)
         assert len(eatoms.members) == 4
 
@@ -307,7 +340,7 @@ class TestEAtoms:
         rng = random.Random(53)
         for _ in range(8):
             g = random_strongly_connected(rng, 7, 9)
-            lam, _ = edge_connectivity(g)
+            lam = helpers.edge_connectivity_oracle(g)
             eatoms = e_atoms_bruteforce(g, lam=lam)
             assert set(eatoms.members) == helpers.e_atoms_fullscan_oracle(g, lam)
 
@@ -317,7 +350,7 @@ class TestEAtoms:
             cd = instance(name)
             g = cd.graph
             n = g.vertex_count
-            lam, _ = edge_connectivity(g)
+            lam, _ = edge_connectivity(g, cd.base_vertex)
             eatoms = e_atoms_bruteforce(g, lam=lam, cap=n)
             candidates = [frozenset([v]) for v in range(n)]
             candidates += [frozenset(range(n)) - {v} for v in range(n)]

@@ -1,0 +1,72 @@
+"""Randomised properties of κ and λ on small Cayley coset digraphs.
+
+Each example draws H = <h> and one to three connection permutations in S_4
+or S_5.  On a connected draw, the flow κ must equal both the all-pairs
+Edmonds-Karp oracle and the subgroup scan, λ must equal its oracle and the
+degree, and each certificate must separate its pair.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import helpers  # noqa: E402
+from cosetkit import (CosetDigraphSpec, NotStronglyConnected, Permutation,  # noqa: E402
+                      build, edge_connectivity, enumerate_closure,
+                      generation_connectivity, kappa_group_theoretic,
+                      parse_cycles, subgroup_generated,
+                      vertex_connectivity_transitive)
+
+GENERATORS = {n: (parse_cycles("(1 2)", n), Permutation(list(range(2, n + 1)) + [1]))
+              for n in (4, 5)}
+GROUPS = {n: enumerate_closure(n, gens) for n, gens in GENERATORS.items()}
+
+
+@st.composite
+def coset_specs(draw):
+    n = draw(st.sampled_from(sorted(GROUPS)))
+    group = GROUPS[n]
+    # |H| >= 2 in S_5 keeps the all-pairs oracle to at most 60 vertices
+    h = draw(st.sampled_from([p for p in group.elements if n == 4 or p.order() > 1]))
+    h_members = subgroup_generated(group, None, [h]).member_set
+    outside = st.sampled_from(group.elements).filter(lambda p: p not in h_members)
+    connection = draw(st.lists(outside, min_size=1, max_size=3, unique=True))
+    return CosetDigraphSpec(n, GENERATORS[n], (h,),
+                            tuple((f"s{i}", p) for i, p in enumerate(connection)))
+
+
+def _reaches(adj, s, t, removed_vertices=(), removed_edges=()):
+    removed_edges = set(removed_edges)
+    pruned = [[] if u in removed_vertices else
+              [v for v in row if v not in removed_vertices and (u, v) not in removed_edges]
+              for u, row in enumerate(adj)]
+    return t in helpers.reachable(pruned, s)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(coset_specs())
+def test_kappa_and_lambda_agree_with_oracles(spec):
+    cd = build(spec)
+    g = cd.graph
+    connected, _, _ = generation_connectivity(cd)
+    if not connected:
+        with pytest.raises(NotStronglyConnected):
+            vertex_connectivity_transitive(g, cd.base_vertex)
+        with pytest.raises(NotStronglyConnected):
+            edge_connectivity(g, cd.base_vertex)
+        return
+
+    kappa, vcert = vertex_connectivity_transitive(g, cd.base_vertex)
+    forward, _ = kappa_group_theoretic(cd)
+    assert kappa == helpers.vertex_connectivity_oracle(g) == forward.kappa_group
+    if vcert is not None:
+        s, t = vcert.separated_pair
+        assert len(vcert.separator) == kappa
+        assert not _reaches(g.adj, s, t, removed_vertices=set(vcert.separator))
+
+    lam, ecert = edge_connectivity(g, cd.base_vertex)
+    assert lam == helpers.edge_connectivity_oracle(g) == cd.degree
+    s, t = ecert.separated_pair
+    assert len(ecert.separator) == lam
+    assert not _reaches(g.adj, s, t, removed_edges=ecert.separator)

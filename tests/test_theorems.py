@@ -159,6 +159,17 @@ class TestHierarchicalGen:
         failing = [h for h in report.hypotheses if not h.holds]
         assert "Hs_1" in failing[0].description
 
+    def test_ordering_searched_when_not_given(self):
+        cd = instance("q8")
+        assert check_hierarchical_gen(cd) == check_hierarchical_gen(cd, ["i", "j"])
+        report = check_hierarchical_gen(instance("s4_mixed"), variant="hier1")
+        assert report.theorem_id == "hier1"
+        assert [(h.description, h.holds, h.witness) for h in report.hypotheses] == \
+            [("a hierarchical ordering exists", False,
+              "no generator ordering grows at every step")]
+        assert (report.applicable, report.implied_bound, report.computed_kappa,
+                report.consistent) == (False, None, 2, True)
+
     def test_bad_ordering_rejected(self):
         cd = instance("q8")
         with pytest.raises(GroupError):
