@@ -4,8 +4,8 @@ from .atoms import (AtomAnalysis, AtomCandidate, AtomTheoryReport,
                     base_atom_candidate, kappa_group_theoretic,
                     subgroup_atom_scan, verify_atom_theory)
 from .coset import (CosetDigraph, CosetDigraphSpec, build, dedupe_generators,
-                    generation_connectivity, labeled, transpose_spec,
-                    verify_automorphism)
+                    generation_connectivity, labeled, stabiliser_translations,
+                    transpose_spec, verify_automorphism)
 from .cp import (CPParams, cp_build, cp_degree_profile, cp_spec, gamma,
                  gamma_label, verify_neighbor_multiplier, verify_prefix_structure)
 from .digraph import (AtomSet, CutCertificate, Digraph, atoms_bruteforce,

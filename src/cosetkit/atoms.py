@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .coset import CosetDigraph, generation_connectivity, oracle_kappa, transpose_spec
-from .digraph import DEFAULT_SUBSET_BUDGET, atoms_bruteforce, neighbor_set
+from .digraph import (DEFAULT_BRUTEFORCE_CAP, DEFAULT_SUBSET_BUDGET, atoms_bruteforce,
+                      neighbor_set)
 from .errors import CapExceeded, CrossCheckError, GroupError
 from .perms import SubgroupHandle, compose
 
@@ -130,7 +131,7 @@ class AtomTheoryReport:
     d_s1: int
 
 
-def verify_atom_theory(cd: CosetDigraph, bruteforce_cap: int = 128,
+def verify_atom_theory(cd: CosetDigraph, bruteforce_cap: int = DEFAULT_BRUTEFORCE_CAP,
                        budget: int = DEFAULT_SUBSET_BUDGET) -> AtomTheoryReport:
     """Brute-force the atoms on whichever side satisfies the size
     assumption and check the structure theory against them:

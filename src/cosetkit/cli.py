@@ -22,7 +22,7 @@ import time
 from . import atoms as atoms_mod
 from . import theorems
 from .coset import (CosetDigraph, CosetDigraphSpec, build,
-                    generation_connectivity, oracle_kappa)
+                    generation_connectivity, oracle_kappa, stabiliser_translations)
 from .cp import CPParams, cp_spec
 from .digraph import DEFAULT_BRUTEFORCE_CAP, edge_connectivity
 from .errors import (CapExceeded, CrossCheckError, GroupError,
@@ -170,8 +170,10 @@ def analyze_instance(spec: CosetDigraphSpec, settings: dict,
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     cd = build(spec)
-    connected, _, components = generation_connectivity(cd)
     timings["build_s"] = round(time.perf_counter() - t0, 3)
+    t0 = time.perf_counter()
+    connected, _, components = generation_connectivity(cd)
+    timings["connectivity_s"] = round(time.perf_counter() - t0, 3)
 
     instance = {
         "group_order": len(cd.group),
@@ -189,14 +191,17 @@ def analyze_instance(spec: CosetDigraphSpec, settings: dict,
 
     t0 = time.perf_counter()
     oracle = oracle_kappa(cd)
+    timings["kappa_flow_s"] = round(time.perf_counter() - t0, 3)
+    t0 = time.perf_counter()
     forward, _ = atoms_mod.kappa_group_theoretic(cd)
-    timings["kappa_s"] = round(time.perf_counter() - t0, 3)
+    timings["kappa_group_s"] = round(time.perf_counter() - t0, 3)
     agree = forward.kappa_group == oracle
     report["kappa"] = {"oracle": oracle, "group_theoretic": forward.kappa_group,
                        "agree": agree}
 
     t0 = time.perf_counter()
-    report["lambda"] = edge_connectivity(cd.graph, cd.base_vertex)[0]
+    report["lambda"] = edge_connectivity(cd.graph, cd.base_vertex,
+                                         stabiliser_translations(cd))[0]
     timings["lambda_s"] = round(time.perf_counter() - t0, 3)
 
     n = cd.graph.vertex_count

@@ -50,7 +50,8 @@ def labeled(perms, labels=None) -> tuple[tuple[str, Permutation], ...]:
 
 class CosetDigraph:
     """A built instance: group data plus the labeled digraph.  The closures
-    <H, S0>, connectivity, flow kappa and transpose are cached on first use."""
+    <H, S0>, connectivity, stabiliser translations, flow kappa and transpose
+    are cached on first use."""
 
     def __init__(self, spec: CosetDigraphSpec, group: GroupContext,
                  subgroup: SubgroupHandle, vertices: list[Permutation],
@@ -70,6 +71,7 @@ class CosetDigraph:
         self._closures: dict[frozenset[str], SubgroupHandle] = {}
         self._connectivity: tuple[bool, SubgroupHandle, list[list[int]]] | None = None
         self._kappa: int | None = None
+        self._translations: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -193,11 +195,25 @@ def generation_connectivity(cd: CosetDigraph):
     return cd._connectivity
 
 
+def stabiliser_translations(cd: CosetDigraph) -> tuple[tuple[int, ...], ...]:
+    """Left translations by the generators of H as vertex permutations.
+    They fix the base vertex H, so the flow routines need one sink per
+    orbit of H (a double coset HgH); empty when H is trivial.  Computed
+    once per instance."""
+    if cd._translations is None:
+        cd._translations = tuple(
+            tuple(cd.vertex_of(compose(h, rep)) for rep in cd.vertices)
+            for h in cd.spec.subgroup_generators if not h.is_identity())
+    return cd._translations
+
+
 def oracle_kappa(cd: CosetDigraph) -> int:
     """Vertex connectivity by Dinic flows from the base vertex (valid since
-    coset digraphs are vertex-transitive); computed once per instance."""
+    coset digraphs are vertex-transitive), one per H-orbit of sinks;
+    computed once per instance."""
     if cd._kappa is None:
-        cd._kappa, _ = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
+        cd._kappa, _ = vertex_connectivity_transitive(cd.graph, cd.base_vertex,
+                                                      stabiliser_translations(cd))
     return cd._kappa
 
 

@@ -2,8 +2,8 @@
 
 Strong connectivity, neighbor sets, exact vertex/edge connectivity of
 vertex-transitive digraphs by unit-capacity max-flows (Dinic) from one base
-vertex, with minimum-cut certificates, and brute-force atom / e-atom
-enumeration.
+vertex, one flow per orbit of the given automorphisms fixing it, with
+minimum-cut certificates, and brute-force atom / e-atom enumeration.
 """
 
 from __future__ import annotations
@@ -193,7 +193,9 @@ class _UnitFlow:
             level = [-1] * self.n
             level[s] = 0
             queue = deque([s])
-            while queue:
+            # vertices at the sink's depth or deeper lie on no shortest
+            # augmenting path, so the search stops once the sink has a level
+            while queue and level[t] < 0:
                 u = queue.popleft()
                 for e in head[u]:
                     v = to[e]
@@ -278,12 +280,42 @@ def _require_strongly_connected(g: Digraph) -> None:
         raise NotStronglyConnected("digraph is not strongly connected")
 
 
+def _orbit_minima(g: Digraph, base: int,
+                  symmetries: Iterable[Sequence[int]]) -> list[int]:
+    """Least vertex of each orbit of the group generated by ``symmetries``,
+    ascending.  Each must be an automorphism of ``g`` fixing ``base``, so
+    that local connectivities from ``base`` are constant on orbits; this is
+    checked on the digraph and a failure raises CrossCheckError."""
+    n = g.vertex_count
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for phi in symmetries:
+        if sorted(phi) != list(range(n)):
+            raise CrossCheckError("a symmetry is not a permutation of the vertices")
+        if phi[base] != base:
+            raise CrossCheckError(f"a symmetry moves the base vertex {base}")
+        if any({phi[v] for v in g.adj[u]} != g.adj_sets[phi[u]] for u in range(n)):
+            raise CrossCheckError("a symmetry is not an automorphism of the digraph")
+        for u in range(n):
+            a, b = find(u), find(phi[u])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [v for v in range(n) if find(v) == v]
+
+
 def _least_cut(net: _UnitFlow, source: int, sinks: Iterable[int],
                bound: int) -> tuple[int, int, set[int]]:
     """Least max-flow from ``source`` over ``sinks``, each flow stopped once
     it reaches the best value so far (starting from ``bound``).  The flow to
-    the best sink is re-run in full, and its value, that sink and the
-    source's residual-reachable set (the source side of a minimum cut) are
+    the best sink, the first in sweep order to reach the least value, is
+    re-run in full, and its value, that sink and the source's
+    residual-reachable set (the source side of a minimum cut) are
     returned."""
     best, best_sink = bound, None
     for t in sinks:
@@ -299,16 +331,24 @@ def _least_cut(net: _UnitFlow, source: int, sinks: Iterable[int],
     return best, best_sink, net.residual_reachable(source)
 
 
-def vertex_connectivity_transitive(g: Digraph,
-                                   base: int) -> tuple[int, CutCertificate | None]:
+def vertex_connectivity_transitive(g: Digraph, base: int,
+                                   symmetries: Iterable[Sequence[int]] = ()
+                                   ) -> tuple[int, CutCertificate | None]:
     """Vertex connectivity of a vertex-transitive digraph: the least local
     connectivity from ``base`` to a non-neighbor, with a minimum separator
-    as certificate.  Complete digraphs yield n-1 with no certificate."""
+    as certificate.  Complete digraphs yield n-1 with no certificate.
+
+    ``symmetries`` are automorphisms fixing ``base`` (vertex permutations,
+    verified here); one flow per orbit of the group they generate suffices,
+    and the certificate is the one the sweep over every vertex would give."""
     _require_strongly_connected(g)
     n = g.vertex_count
     if g.is_complete():
         return n - 1, None
-    sinks = (2 * t for t in range(n) if t != base and not g.has_edge(base, t))
+    # automorphisms fixing base preserve adjacency to base, so an orbit is
+    # a non-neighbor exactly when its least vertex is
+    sinks = (2 * t for t in _orbit_minima(g, base, symmetries)
+             if t != base and not g.has_edge(base, t))
     kappa, sink, reach = _least_cut(_vertex_split_network(g), 2 * base + 1, sinks, n - 1)
     separator = tuple(v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach)
     if len(separator) != kappa:
@@ -316,19 +356,23 @@ def vertex_connectivity_transitive(g: Digraph,
     return kappa, CutCertificate("vertex", kappa, separator, (base, sink // 2))
 
 
-def edge_connectivity(g: Digraph, base: int) -> tuple[int, CutCertificate | None]:
+def edge_connectivity(g: Digraph, base: int,
+                      symmetries: Iterable[Sequence[int]] = ()
+                      ) -> tuple[int, CutCertificate | None]:
     """Edge connectivity of a vertex-transitive digraph: the least local
     edge connectivity from ``base`` to another vertex, with a minimum edge
     cut as certificate.  A minimum cut separates some pair (x, y), and an
     automorphism taking x to ``base`` turns it into a cut from ``base``, so
-    flows into ``base`` are not needed.  A one-vertex digraph yields 0 with
-    no certificate."""
+    flows into ``base`` are not needed.  ``symmetries`` are automorphisms
+    fixing ``base``, as for ``vertex_connectivity_transitive``: one flow per
+    orbit.  A one-vertex digraph yields 0 with no certificate."""
     _require_strongly_connected(g)
     n = g.vertex_count
     if n <= 1:
         return 0, None
     lam, sink, reach = _least_cut(_edge_network(g), base,
-                                  (t for t in range(n) if t != base),
+                                  (t for t in _orbit_minima(g, base, symmetries)
+                                   if t != base),
                                   len(g.adj[base]) + 1)
     cut = tuple((u, v) for u, v in g.edges() if u in reach and v not in reach)
     if len(cut) != lam:

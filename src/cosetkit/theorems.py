@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .coset import (CosetDigraph, CosetDigraphSpec, build, generation_connectivity,
-                    oracle_kappa)
+                    oracle_kappa, stabiliser_translations)
 from .digraph import e_atoms_bruteforce, edge_connectivity
 from .errors import GroupError
 from .perms import SubgroupHandle, double_coset, inverse
@@ -335,7 +335,7 @@ def verify_edge_connectivity(cd: CosetDigraph) -> HypothesisReport:
     """Edge connectivity equals the degree, and every e-atom is a single
     vertex.  Unconditional for connected instances."""
     _require_connected(cd)
-    lam, _ = edge_connectivity(cd.graph, cd.base_vertex)
+    lam, _ = edge_connectivity(cd.graph, cd.base_vertex, stabiliser_translations(cd))
     d = cd.degree
     eatoms = e_atoms_bruteforce(cd.graph, lam=lam, cap=cd.graph.vertex_count)
     singletons = all(len(a) == 1 for a in eatoms.members)

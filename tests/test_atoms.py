@@ -162,3 +162,9 @@ class TestVerifyAtomTheory:
         cd = instance("s4_mixed")
         with pytest.raises(CapExceeded, match="bruteforce_cap = 18"):
             verify_atom_theory(cd, bruteforce_cap=18)
+
+    def test_default_cap_is_the_cli_default(self):
+        # the same default as `cosetkit analyze`, which reports no atoms
+        # for s4_mixed (24 vertices) without a bruteforce_cap setting
+        with pytest.raises(CapExceeded, match="bruteforce_cap = 18"):
+            verify_atom_theory(instance("s4_mixed"))

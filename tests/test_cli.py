@@ -175,7 +175,8 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", path, "--timings")
         assert code == 0
         timings = json.loads(out)["timings"]
-        assert timings and "build_s" in timings and "kappa_s" in timings
+        assert set(timings) == {"build_s", "connectivity_s", "kappa_flow_s",
+                                "kappa_group_s", "lambda_s", "atoms_s"}
 
 
 class TestCheck:

@@ -6,13 +6,13 @@ from itertools import combinations
 import pytest
 
 import helpers
-from corpus import SMALL_NAMES, instance
-from cosetkit import (CapExceeded, CompleteDigraphError, Digraph,
-                      NotStronglyConnected, atoms_bruteforce,
+from corpus import CORPUS_NAMES, SMALL_NAMES, instance
+from cosetkit import (CapExceeded, CompleteDigraphError, CrossCheckError, Digraph,
+                      NotStronglyConnected, atoms_bruteforce, compose,
                       e_atoms_bruteforce, edge_connectivity,
                       is_strongly_connected, neighbor_set, out_edge_count,
-                      strongly_connected_components, transpose,
-                      vertex_connectivity_transitive)
+                      stabiliser_translations, strongly_connected_components,
+                      transpose, vertex_connectivity_transitive)
 from cosetkit.digraph import _UnitFlow
 
 
@@ -243,6 +243,78 @@ class TestEdgeConnectivity:
             assert lam == cd.degree, name
             assert len(calls) == n, name
             assert all(source == cd.base_vertex for source, _ in calls), name
+
+
+def _h_orbit_minima(cd):
+    """Least vertex of each H-orbit {h g H}, from the group elements."""
+    return sorted({min(cd.vertex_of(compose(h, rep)) for h in cd.subgroup.members)
+                   for rep in cd.vertices})
+
+
+def _count_flows(monkeypatch):
+    calls = []
+    original = _UnitFlow.maxflow
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(_UnitFlow, "maxflow", counted)
+    return calls
+
+
+class TestStabiliserOrbits:
+    def test_orbit_sweep_equals_full_sweep_on_corpus(self):
+        # same value, separated pair and separator as with every sink
+        nontrivial = 0
+        for name in CORPUS_NAMES:
+            cd = instance(name)
+            g, base = cd.graph, cd.base_vertex
+            symmetries = stabiliser_translations(cd)
+            nontrivial += bool(symmetries)
+            assert vertex_connectivity_transitive(g, base, symmetries) == \
+                vertex_connectivity_transitive(g, base), name
+            assert edge_connectivity(g, base, symmetries) == \
+                edge_connectivity(g, base), name
+        assert nontrivial >= 5
+
+    def test_one_flow_per_orbit_plus_certificate(self, monkeypatch):
+        calls = _count_flows(monkeypatch)
+        for name in ("cp_4_2", "cp_5_2", "random_0"):
+            cd = instance(name)
+            g, base = cd.graph, cd.base_vertex
+            n, d = g.vertex_count, len(g.adj[base])
+            assert len(cd.subgroup) >= 2 and not g.is_complete(), name
+            minima = _h_orbit_minima(cd)
+            symmetries = stabiliser_translations(cd)
+
+            calls.clear()
+            vertex_connectivity_transitive(g, base, symmetries)
+            far = [t for t in minima if t != base and not g.has_edge(base, t)]
+            assert len(calls) == len(far) + 1, name
+            assert len(calls) < n - 1 - d + 1, name
+
+            calls.clear()
+            edge_connectivity(g, base, symmetries)
+            # every orbit but {base}, plus the certificate re-run
+            assert len(calls) == len(minima) - 1 + 1, name
+
+    def test_symmetry_moving_base_raises(self):
+        rotation = [1, 2, 3, 4, 5, 0]      # an automorphism that moves 0
+        for routine in (vertex_connectivity_transitive, edge_connectivity):
+            with pytest.raises(CrossCheckError, match="moves the base"):
+                routine(directed_cycle(6), 0, [rotation])
+
+    def test_non_automorphism_raises(self):
+        swap = [0, 2, 1, 3, 4, 5]          # a bijection fixing 0
+        for routine in (vertex_connectivity_transitive, edge_connectivity):
+            with pytest.raises(CrossCheckError, match="not an automorphism"):
+                routine(directed_cycle(6), 0, [swap])
+
+    def test_non_bijection_raises(self):
+        for routine in (vertex_connectivity_transitive, edge_connectivity):
+            with pytest.raises(CrossCheckError, match="not a permutation"):
+                routine(directed_cycle(6), 0, [[0, 1, 1, 3, 4, 5]])
 
 
 class TestAtoms:

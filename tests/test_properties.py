@@ -1,8 +1,9 @@
 """Randomised properties of κ and λ on small Cayley coset digraphs.
 
 Each example draws H = <h> and one to three connection permutations in S_4
-or S_5.  On a connected draw, the flow κ must equal both the all-pairs
-Edmonds-Karp oracle and the subgroup scan, λ must equal its oracle and the
+or S_5.  On a connected draw, the flow κ, with and without the stabiliser
+translations the CLI passes, must equal both the all-pairs Edmonds-Karp
+oracle and the subgroup scan, λ (both ways) must equal its oracle and the
 degree, and each certificate must separate its pair.
 """
 
@@ -15,7 +16,7 @@ import helpers  # noqa: E402
 from cosetkit import (CosetDigraphSpec, NotStronglyConnected, Permutation,  # noqa: E402
                       build, edge_connectivity, enumerate_closure,
                       generation_connectivity, kappa_group_theoretic,
-                      parse_cycles, subgroup_generated,
+                      parse_cycles, stabiliser_translations, subgroup_generated,
                       vertex_connectivity_transitive)
 
 GENERATORS = {n: (parse_cycles("(1 2)", n), Permutation(list(range(2, n + 1)) + [1]))
@@ -57,16 +58,20 @@ def test_kappa_and_lambda_agree_with_oracles(spec):
             edge_connectivity(g, cd.base_vertex)
         return
 
+    symmetries = stabiliser_translations(cd)
     kappa, vcert = vertex_connectivity_transitive(g, cd.base_vertex)
+    orbit_kappa, _ = vertex_connectivity_transitive(g, cd.base_vertex, symmetries)
     forward, _ = kappa_group_theoretic(cd)
-    assert kappa == helpers.vertex_connectivity_oracle(g) == forward.kappa_group
+    assert kappa == orbit_kappa == helpers.vertex_connectivity_oracle(g) \
+        == forward.kappa_group
     if vcert is not None:
         s, t = vcert.separated_pair
         assert len(vcert.separator) == kappa
         assert not _reaches(g.adj, s, t, removed_vertices=set(vcert.separator))
 
     lam, ecert = edge_connectivity(g, cd.base_vertex)
-    assert lam == helpers.edge_connectivity_oracle(g) == cd.degree
+    orbit_lam, _ = edge_connectivity(g, cd.base_vertex, symmetries)
+    assert lam == orbit_lam == helpers.edge_connectivity_oracle(g) == cd.degree
     s, t = ecert.separated_pair
     assert len(ecert.separator) == lam
     assert not _reaches(g.adj, s, t, removed_edges=ecert.separator)
