@@ -19,7 +19,7 @@ from .coset import CosetDigraph, generation_connectivity, oracle_kappa, transpos
 from .digraph import (DEFAULT_BRUTEFORCE_CAP, DEFAULT_SUBSET_BUDGET, atoms_bruteforce,
                       neighbor_set)
 from .errors import CapExceeded, CrossCheckError, GroupError
-from .perms import SubgroupHandle, compose
+from .perms import SubgroupHandle
 
 MAX_SCAN_GENERATORS = 12
 
@@ -59,16 +59,17 @@ def subgroup_atom_scan(cd: CosetDigraph) -> list[AtomCandidate]:
         raise CapExceeded(f"connection set has {len(labels)} generators, above "
                           f"the scan cap MAX_SCAN_GENERATORS = {MAX_SCAN_GENERATORS}",
                           count=len(labels))
+    coset_of = cd.subgroup.cosets().coset_of
     candidates = []
     for r in range(len(labels)):
         for chosen in combinations(labels, r):
             sub = cd.closure(chosen)
             if len(sub) == len(cd.group):
                 continue
-            vertex_set = sorted({cd.vertex_of(x) for x in sub.members})
+            vertex_set = sorted({coset_of[x] for x in sub.ids})
             inside = set(vertex_set)
-            s1 = [cd.connection[lbl] for lbl in labels if lbl not in chosen]
-            reached = {cd.vertex_of(compose(x, s)) for x in sub.members for s in s1}
+            s1 = [cd.group.right(cd.connection[lbl]) for lbl in labels if lbl not in chosen]
+            reached = {coset_of[right_s[x]] for right_s in s1 for x in sub.ids}
             reached -= inside
             digraph_nbrs, is_part = neighbor_set(cd.graph, vertex_set)
             if reached != digraph_nbrs:
@@ -185,9 +186,10 @@ def verify_atom_theory(cd: CosetDigraph, bruteforce_cap: int = DEFAULT_BRUTEFORC
         raise CrossCheckError("union of the base atom is not <H, S0>")
 
     base_sorted = sorted(base_atom)
+    rep_ids = inst.subgroup.cosets().rep_ids
     for a in atoms:
-        g = inst.vertices[min(a)]
-        translate = {inst.vertex_of(compose(g, inst.vertices[v])) for v in base_sorted}
+        phi = inst.left_translation(rep_ids[min(a)])
+        translate = {phi[v] for v in base_sorted}
         if translate != a:
             raise CrossCheckError("an atom is not a coset translate of the base atom")
 

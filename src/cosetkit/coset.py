@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import (Digraph, strongly_connected_components,
-                      vertex_connectivity_transitive)
+from .digraph import Digraph, transpose, vertex_connectivity_transitive
 from .errors import CrossCheckError, GroupError
 from .perms import (DEFAULT_ENUM_CAP, GroupContext, Permutation, SubgroupHandle,
-                    canonical_coset_rep, compose, double_coset, double_coset_index,
-                    enumerate_closure, inverse, left_coset_reps, print_cycles,
-                    subgroup_generated, trivial_subgroup)
+                    double_coset_cosets, double_coset_index, enumerate_closure, inverse,
+                    left_coset_reps, print_cycles, subgroup_generated, trivial_subgroup)
+from .perms import compose  # noqa: F401  (kept importable as coset.compose)
 
 
 @dataclass(frozen=True)
@@ -49,9 +48,10 @@ def labeled(perms, labels=None) -> tuple[tuple[str, Permutation], ...]:
 
 
 class CosetDigraph:
-    """A built instance: group data plus the labeled digraph.  The closures
-    <H, S0>, connectivity, stabiliser translations, flow kappa and transpose
-    are cached on first use."""
+    """A built instance: group data plus the labeled digraph.  Vertex v is
+    coset v of H's coset table, with ``vertices[v]`` its canonical
+    representative.  The closures <H, S0>, connectivity, stabiliser
+    translations, flow kappa and transpose are cached on first use."""
 
     def __init__(self, spec: CosetDigraphSpec, group: GroupContext,
                  subgroup: SubgroupHandle, vertices: list[Permutation],
@@ -61,12 +61,11 @@ class CosetDigraph:
         self.group = group
         self.subgroup = subgroup
         self.vertices = tuple(vertices)
-        self.vertex_index = {p: i for i, p in enumerate(vertices)}
         self.graph = graph
         self.edge_class = edge_class
         self.degrees = degrees
         self.connection = connection           # surviving label -> permutation
-        self.base_vertex = self.vertex_index[canonical_coset_rep(group.identity, subgroup)]
+        self.base_vertex = self.vertex_of(group.identity)
         self._transpose: CosetDigraph | None = None
         self._closures: dict[frozenset[str], SubgroupHandle] = {}
         self._connectivity: tuple[bool, SubgroupHandle, list[list[int]]] | None = None
@@ -96,17 +95,17 @@ class CosetDigraph:
 
     def vertex_of(self, g: Permutation) -> int:
         """Vertex index of the coset gH."""
-        return self.vertex_index[canonical_coset_rep(g, self.subgroup)]
+        return self.subgroup.cosets().coset_of[self.group.id_of(g)]
 
-    def coset_elements(self, vertex: int) -> frozenset[Permutation]:
-        rep = self.vertices[vertex]
-        return frozenset(compose(rep, h) for h in self.subgroup.members)
+    def left_translation(self, g: int) -> list[int]:
+        """Left translation xH -> gxH by the element with id g, as a vertex
+        permutation."""
+        table, product = self.subgroup.cosets(), self.group.product_id
+        return [table.coset_of[product(g, rep)] for rep in table.rep_ids]
 
     def union_of_cosets(self, vertices) -> frozenset[Permutation]:
-        out: set[Permutation] = set()
-        for v in vertices:
-            out.update(self.coset_elements(v))
-        return frozenset(out)
+        members, elements = self.subgroup.cosets().members, self.group.elements
+        return frozenset(elements[i] for v in vertices for i in members[v])
 
     def __repr__(self) -> str:
         return (f"<coset digraph |G|={len(self.group)} |H|={len(self.subgroup)} "
@@ -114,16 +113,18 @@ class CosetDigraph:
 
 
 def dedupe_generators(H: SubgroupHandle, perms) -> list[Permutation]:
-    """One representative per double coset HsH, first occurrence wins."""
+    """One representative per double coset HsH, first occurrence wins: s
+    lies in an earlier HtH exactly when its coset sH is one of HtH's."""
     survivors: list[Permutation] = []
-    cosets: list[frozenset[Permutation]] = []
+    cosets: list[set[int]] = []
     for s in perms:
-        if s in H.member_set:
+        if s in H:
             raise GroupError(f"connection permutation {s} lies in H")
-        if any(s in dc for dc in cosets):
+        coset = H.cosets().coset_of[H.parent.id_of(s)]
+        if any(coset in dc for dc in cosets):
             continue
         survivors.append(s)
-        cosets.append(double_coset(H, s))
+        cosets.append(double_coset_cosets(H, s))
     return survivors
 
 
@@ -131,6 +132,13 @@ def build(spec: CosetDigraphSpec) -> CosetDigraph:
     group = enumerate_closure(spec.degree, spec.group_generators, spec.enumeration_cap)
     subgroup = subgroup_generated(group, trivial_subgroup(group),
                                   spec.subgroup_generators)
+    return _build_on(spec, group, subgroup)
+
+
+def _build_on(spec: CosetDigraphSpec, group: GroupContext,
+              subgroup: SubgroupHandle) -> CosetDigraph:
+    """The instance of ``spec`` on an already enumerated G and H: the
+    targets of vertex u under s are the cosets of x*s over x in coset u."""
     for lbl, p in spec.connection_set:
         if p not in group:
             raise GroupError(f"connection permutation {lbl!r} = {p} is not in G")
@@ -144,17 +152,15 @@ def build(spec: CosetDigraphSpec) -> CosetDigraph:
 
     degrees = {lbl: double_coset_index(subgroup, p) for lbl, p in connection.items()}
 
-    vertices = left_coset_reps(group, subgroup)
-    vertex_index = {p: i for i, p in enumerate(vertices)}
-    h_members = subgroup.members
-
+    table = subgroup.cosets()
+    coset_of = table.coset_of
     edge_class: dict[str, frozenset[tuple[int, int]]] = {}
-    adjacency: list[set[int]] = [set() for _ in vertices]
+    adjacency: list[set[int]] = [set() for _ in table.members]
     for lbl, s in connection.items():
+        right_s = group.right(s)
         edges = []
-        for u, g in enumerate(vertices):
-            targets = {vertex_index[canonical_coset_rep(compose(compose(g, h), s), subgroup)]
-                       for h in h_members}
+        for u, coset in enumerate(table.members):
+            targets = {coset_of[right_s[x]] for x in coset}
             if len(targets) != degrees[lbl]:
                 raise CrossCheckError(
                     f"vertex {u} has {len(targets)} out-edges for {lbl!r}, "
@@ -166,7 +172,7 @@ def build(spec: CosetDigraphSpec) -> CosetDigraph:
         edge_class[lbl] = frozenset(edges)
 
     graph = Digraph([sorted(row) for row in adjacency])
-    return CosetDigraph(spec, group, subgroup, vertices, graph,
+    return CosetDigraph(spec, group, subgroup, left_coset_reps(group, subgroup), graph,
                         edge_class, degrees, connection)
 
 
@@ -182,13 +188,15 @@ def generation_connectivity(cd: CosetDigraph):
     if connected:
         components = [list(range(len(cd.vertices)))]
     else:
-        comp_of_rep: dict[Permutation, list[int]] = {}
-        for vertex, rep in enumerate(cd.vertices):
-            key = canonical_coset_rep(rep, generated)
-            comp_of_rep.setdefault(key, []).append(vertex)
-        components = sorted(comp_of_rep.values(), key=lambda c: c[0])
+        # the component of vertex xH is the coset x<H,S>; vertices are
+        # visited in order, so components come out sorted by least vertex
+        component_of = generated.cosets().coset_of
+        by_coset: dict[int, list[int]] = {}
+        for vertex, rep in enumerate(cd.subgroup.cosets().rep_ids):
+            by_coset.setdefault(component_of[rep], []).append(vertex)
+        components = list(by_coset.values())
 
-    scc = strongly_connected_components(cd.graph)
+    scc = cd.graph.strong_components()
     if sorted(map(frozenset, scc)) != sorted(map(frozenset, components)):
         raise CrossCheckError("group-theoretic components disagree with SCCs")
     cd._connectivity = (connected, generated, components)
@@ -201,9 +209,9 @@ def stabiliser_translations(cd: CosetDigraph) -> tuple[tuple[int, ...], ...]:
     orbit of H (a double coset HgH); empty when H is trivial.  Computed
     once per instance."""
     if cd._translations is None:
-        cd._translations = tuple(
-            tuple(cd.vertex_of(compose(h, rep)) for rep in cd.vertices)
-            for h in cd.spec.subgroup_generators if not h.is_identity())
+        cd._translations = tuple(tuple(cd.left_translation(cd.group.id_of(h)))
+                                 for h in cd.spec.subgroup_generators
+                                 if not h.is_identity())
     return cd._translations
 
 
@@ -221,7 +229,7 @@ def verify_automorphism(cd: CosetDigraph, g: Permutation) -> bool:
     """True iff left translation by g preserves every labeled edge class."""
     if g not in cd.group:
         raise GroupError(f"{g} is not an element of G")
-    phi = [cd.vertex_of(compose(g, rep)) for rep in cd.vertices]
+    phi = cd.left_translation(cd.group.id_of(g))
     if len(set(phi)) != len(phi):
         return False
     for edges in cd.edge_class.values():
@@ -232,16 +240,19 @@ def verify_automorphism(cd: CosetDigraph, g: Permutation) -> bool:
 
 def transpose_spec(cd: CosetDigraph) -> CosetDigraph:
     """Build the transpose instance, generated by the inverses of the
-    connection set; its digraph must equal the edge-reversal of cd's."""
+    connection set, on cd's G and H; its edges come from the right tables
+    of the inverses themselves, so its digraph equalling the edge-reversal
+    of cd's is a real check."""
     if cd._transpose is not None:
         return cd._transpose
     inverted = tuple((lbl + "^-1", inverse(p)) for lbl, p in cd.connection.items())
     spec = CosetDigraphSpec(cd.spec.degree, cd.spec.group_generators,
                             cd.spec.subgroup_generators, inverted,
                             cd.spec.enumeration_cap)
-    built = build(spec)
-    reversed_edges = {(v, u) for u, v in cd.graph.edges()}
-    if set(built.graph.edges()) != reversed_edges:
+    built = _build_on(spec, cd.group, cd.subgroup)
+    reversed_graph = transpose(cd.graph)
+    if built.graph != reversed_graph:
         raise CrossCheckError("transpose instance does not equal the reversed digraph")
+    built.graph = reversed_graph        # equal, and shares cd's components
     cd._transpose = built
     return built

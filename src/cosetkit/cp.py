@@ -15,8 +15,7 @@ from math import factorial
 
 from .coset import CosetDigraph, CosetDigraphSpec, build
 from .errors import CrossCheckError, GroupError
-from .perms import (DEFAULT_ENUM_CAP, Permutation, SubgroupHandle,
-                    canonical_coset_rep, compose, normalizes)
+from .perms import DEFAULT_ENUM_CAP, Permutation, SubgroupHandle, normalizes
 from .theorems import sub_instance
 
 
@@ -85,8 +84,9 @@ def verify_neighbor_multiplier(p: CPParams, F: SubgroupHandle,
     gprime = cd.closure(gamma_label(j) for j in range(2, p.n - p.k + 1))
     if not (h.member_set <= F.member_set and F.member_set <= gprime.member_set):
         raise GroupError("F must satisfy H <= F <= G'")
-    top = gamma(p.n - p.k + 1, p.n)
-    reached = {canonical_coset_rep(compose(f, top), h).image for f in F.members}
+    right_top = cd.group.right(gamma(p.n - p.k + 1, p.n))
+    coset_of = h.cosets().coset_of
+    reached = {coset_of[right_top[f]] for f in F.ids}
     return len(reached) == (len(F) // len(h)) * p.k
 
 

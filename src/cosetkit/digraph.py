@@ -20,9 +20,10 @@ DEFAULT_SUBSET_BUDGET = 2_000_000
 
 
 class Digraph:
-    """Immutable digraph on vertices 0..n-1; no loops, no parallel edges."""
+    """Immutable digraph on vertices 0..n-1; no loops, no parallel edges.
+    Its strongly connected components are computed once, on first use."""
 
-    __slots__ = ("adj", "adj_sets")
+    __slots__ = ("adj", "adj_sets", "_scc")
 
     def __init__(self, adjacency: Sequence[Sequence[int]]):
         n = len(adjacency)
@@ -39,6 +40,7 @@ class Digraph:
             adj.append(row)
         self.adj = tuple(adj)
         self.adj_sets = tuple(frozenset(row) for row in adj)
+        self._scc: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -55,6 +57,12 @@ class Digraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj_sets[u]
+
+    def strong_components(self) -> tuple[tuple[int, ...], ...]:
+        """``strongly_connected_components`` of this digraph, cached."""
+        if self._scc is None:
+            self._scc = tuple(map(tuple, strongly_connected_components(self)))
+        return self._scc
 
     def is_complete(self) -> bool:
         n = self.vertex_count
@@ -94,10 +102,14 @@ class AtomSet:
 
 
 def transpose(g: Digraph) -> Digraph:
+    """The edge-reversed digraph; it has g's strongly connected components,
+    so it shares them once g has computed them."""
     rows: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for u, v in g.edges():
         rows[v].append(u)
-    return Digraph([sorted(r) for r in rows])
+    out = Digraph([sorted(r) for r in rows])
+    out._scc = g._scc
+    return out
 
 
 def strongly_connected_components(g: Digraph) -> list[list[int]]:
@@ -145,7 +157,7 @@ def strongly_connected_components(g: Digraph) -> list[list[int]]:
 def is_strongly_connected(g: Digraph) -> bool:
     if g.vertex_count <= 1:
         return True
-    return len(strongly_connected_components(g)) == 1
+    return len(g.strong_components()) == 1
 
 
 def neighbor_set(g: Digraph, vertices: Iterable[int]) -> tuple[frozenset[int], bool]:

@@ -142,31 +142,62 @@ def print_cycles(pi: Permutation) -> str:
     return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycles)
 
 
+def _product(x: tuple[int, ...], padded: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of x*y, given y's image as ``padded = (0,) + y.image``."""
+    return tuple(map(padded.__getitem__, x))
+
+
 class GroupContext:
     """A fully enumerated finite permutation group.
 
-    ``elements`` holds every element in deterministic BFS discovery order
-    (identity first); ``index`` maps each element to its ordinal.
+    Elements are numbered by deterministic BFS discovery order (identity
+    first): ``elements[i]`` is element i as a Permutation, built once, and
+    ``index`` maps its image tuple back to i.  ``right(p)`` is the
+    right-multiplication table of p, ``table[i]`` = id of element i times p,
+    cached per p; the tables of the generators come from the enumeration.
     """
 
-    __slots__ = ("degree", "generators", "elements", "index")
+    __slots__ = ("degree", "generators", "elements", "index", "_right")
 
     def __init__(self, degree: int, generators: tuple[Permutation, ...],
-                 elements: tuple[Permutation, ...], index: dict[Permutation, int]):
+                 images: list[tuple[int, ...]], index: dict[tuple[int, ...], int],
+                 right: dict[tuple[int, ...], list[int]]):
         self.degree = degree
         self.generators = generators
-        self.elements = elements
+        self.elements = tuple(Permutation(img) for img in images)
         self.index = index
+        self._right = right
 
     @property
     def identity(self) -> Permutation:
         return self.elements[0]
 
+    def id_of(self, pi: Permutation) -> int:
+        i = self.index.get(pi.image)
+        if i is None:
+            raise GroupError(f"{pi} is not an element of the group")
+        return i
+
+    def right(self, p: Permutation) -> list[int]:
+        """``table[i]`` = id of elements[i] * p; p must lie in the group."""
+        table = self._right.get(p.image)
+        if table is None:
+            self.id_of(p)
+            padded = (0,) + p.image
+            get = self.index.__getitem__
+            table = [get(_product(x.image, padded)) for x in self.elements]
+            self._right[p.image] = table
+        return table
+
+    def product_id(self, a: int, b: int) -> int:
+        """Id of elements[a] * elements[b]."""
+        return self.index[_product(self.elements[a].image, (0,) + self.elements[b].image)]
+
     def __len__(self) -> int:
         return len(self.elements)
 
     def __contains__(self, pi: Permutation) -> bool:
-        return pi in self.index
+        return pi.image in self.index
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
@@ -175,104 +206,162 @@ class GroupContext:
         return f"<group of order {len(self.elements)} on 1..{self.degree}>"
 
 
-class SubgroupHandle:
-    """A subgroup of a GroupContext; ``members`` sorted by parent index."""
+class CosetTable:
+    """The left cosets of a subgroup H, numbered by first occurrence in the
+    parent's element order: ``coset_of[i]`` is the coset of element i,
+    ``rep_ids[c]`` the id of coset c's lexicographically least element and
+    ``members[c]`` the ids in coset c."""
 
-    __slots__ = ("parent", "members", "member_set")
+    __slots__ = ("coset_of", "rep_ids", "members")
 
-    def __init__(self, parent: GroupContext, members: tuple[Permutation, ...]):
-        self.parent = parent
+    def __init__(self, H: "SubgroupHandle"):
+        G = H.parent
+        tables = [G.right(G.elements[i]) for i in H.generator_ids]
+        image = [g.image for g in G.elements]
+        coset_of = [-1] * len(G)
+        rep_ids, members = [], []
+        for x in range(len(G)):
+            if coset_of[x] >= 0:
+                continue
+            c = len(members)
+            coset_of[x] = c
+            block = [x]
+            for y in block:             # xH is the closure of x under H's generators
+                for t in tables:
+                    z = t[y]
+                    if coset_of[z] < 0:
+                        coset_of[z] = c
+                        block.append(z)
+            members.append(tuple(block))
+            rep_ids.append(min(block, key=image.__getitem__))
+        self.coset_of = coset_of
+        self.rep_ids = rep_ids
         self.members = members
-        self.member_set = frozenset(members)
+
+
+class SubgroupHandle:
+    """A subgroup of a GroupContext: ``ids`` ascending, and the generator
+    ids it was closed over.  Its coset table is built on first use."""
+
+    __slots__ = ("parent", "ids", "id_set", "generator_ids", "_members", "_member_set",
+                 "_cosets")
+
+    def __init__(self, parent: GroupContext, ids: tuple[int, ...],
+                 generator_ids: tuple[int, ...]):
+        self.parent = parent
+        self.ids = ids
+        self.id_set = frozenset(ids)
+        self.generator_ids = generator_ids
+        self._members: tuple[Permutation, ...] | None = None
+        self._member_set: frozenset[Permutation] | None = None
+        self._cosets: CosetTable | None = None
 
     @property
     def identity(self) -> Permutation:
         return self.parent.identity
 
+    @property
+    def members(self) -> tuple[Permutation, ...]:
+        if self._members is None:
+            self._members = tuple(self.parent.elements[i] for i in self.ids)
+        return self._members
+
+    @property
+    def member_set(self) -> frozenset[Permutation]:
+        if self._member_set is None:
+            self._member_set = frozenset(self.members)
+        return self._member_set
+
+    def cosets(self) -> CosetTable:
+        if self._cosets is None:
+            self._cosets = CosetTable(self)
+        return self._cosets
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.ids)
 
     def __contains__(self, pi: Permutation) -> bool:
-        return pi in self.member_set
+        return self.parent.index.get(pi.image) in self.id_set
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SubgroupHandle)
                 and self.parent is other.parent
-                and self.member_set == other.member_set)
+                and self.id_set == other.id_set)
 
     def __hash__(self) -> int:
-        return hash(self.member_set)
+        return hash(self.id_set)
 
     def __repr__(self) -> str:
-        return f"<subgroup of order {len(self.members)}>"
+        return f"<subgroup of order {len(self.ids)}>"
 
 
 def enumerate_closure(degree: int, gens: Sequence[Permutation],
                       cap: int = DEFAULT_ENUM_CAP) -> GroupContext:
     """Enumerate the group generated by ``gens`` by breadth-first closure
-    under right multiplication.  Raises CapExceeded past ``cap`` elements,
-    reporting the partial count."""
+    under right multiplication, recording each generator's right table on
+    the way.  Raises CapExceeded past ``cap`` elements, reporting the
+    partial count."""
     gens = tuple(gens)
     for g in gens:
         if g.degree != degree:
             raise GroupError(f"generator degree {g.degree} != {degree}")
-    ident = Permutation.identity(degree)
-    elements = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for g in frontier:
-            for s in gens:
-                w = compose(g, s)
-                if w not in index:
-                    if len(elements) >= cap:
-                        raise CapExceeded(
-                            f"group enumeration exceeded cap {cap} "
-                            f"({len(elements)} elements found so far)",
-                            count=len(elements))
-                    index[w] = len(elements)
-                    elements.append(w)
-                    new_frontier.append(w)
-        frontier = new_frontier
-    return GroupContext(degree, gens, tuple(elements), index)
+    images = [Permutation.identity(degree).image]
+    index = {images[0]: 0}
+    padded = [(0,) + g.image for g in gens]
+    tables: list[list[int]] = [[] for _ in gens]
+    for x in images:                    # FIFO: the list grows while it is read
+        for s, table in zip(padded, tables):
+            w = _product(x, s)
+            i = index.get(w)
+            if i is None:
+                if len(images) >= cap:
+                    raise CapExceeded(
+                        f"group enumeration exceeded cap {cap} "
+                        f"({len(images)} elements found so far)",
+                        count=len(images))
+                i = index[w] = len(images)
+                images.append(w)
+            table.append(i)
+    right = {g.image: table for g, table in zip(gens, tables)}
+    return GroupContext(degree, gens, images, index, right)
 
 
 def trivial_subgroup(ctx: GroupContext) -> SubgroupHandle:
-    return SubgroupHandle(ctx, (ctx.identity,))
+    return SubgroupHandle(ctx, (0,), ())
 
 
 def subgroup_generated(ctx: GroupContext, seed: SubgroupHandle | None,
                        extra: Sequence[Permutation] = ()) -> SubgroupHandle:
-    """Smallest subgroup of ``ctx`` containing ``seed`` and ``extra``."""
+    """Smallest subgroup of ``ctx`` containing ``seed`` and ``extra``,
+    closed over the right tables of the seed's generators and ``extra``."""
     if seed is not None and seed.parent is not ctx:
         raise GroupError("seed subgroup belongs to a different group")
-    gens: list[Permutation] = list(seed.members) if seed is not None else []
+    gen_ids = list(seed.generator_ids) if seed is not None else []
     for g in extra:
         if g not in ctx:
             raise GroupError(f"element {g} not in parent group")
-        gens.append(g)
-    members = {ctx.identity}
-    frontier = [ctx.identity]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for s in gens:
-                w = compose(x, s)
-                if w not in members:
-                    members.add(w)
-                    new_frontier.append(w)
-        frontier = new_frontier
-    ordered = tuple(sorted(members, key=ctx.index.__getitem__))
-    return SubgroupHandle(ctx, ordered)
+        gen_ids.append(ctx.index[g.image])
+    gen_ids = tuple(dict.fromkeys(i for i in gen_ids if i != 0))
+    tables = [ctx.right(ctx.elements[i]) for i in gen_ids]
+    seen = bytearray(len(ctx))
+    seen[0] = 1
+    members = [0]
+    for x in members:
+        for t in tables:
+            y = t[x]
+            if not seen[y]:
+                seen[y] = 1
+                members.append(y)
+    return SubgroupHandle(ctx, tuple(sorted(members)), gen_ids)
 
 
 def canonical_coset_rep(g: Permutation, H: SubgroupHandle) -> Permutation:
     """Lexicographically minimal element of the left coset gH."""
     if g not in H.parent:
         raise GroupError("element not in the parent group of H")
-    best = min(compose(g, h).image for h in H.members)
-    return Permutation(best)
+    table = H.cosets()
+    G = H.parent
+    return G.elements[table.rep_ids[table.coset_of[G.index[g.image]]]]
 
 
 def left_coset_reps(G: GroupContext, H: SubgroupHandle) -> list[Permutation]:
@@ -280,30 +369,29 @@ def left_coset_reps(G: GroupContext, H: SubgroupHandle) -> list[Permutation]:
     the group's element order."""
     if H.parent is not G:
         raise GroupError("H is not a subgroup of G")
-    reps = []
-    seen: set[tuple[int, ...]] = set()
-    for g in G.elements:
-        if g.image in seen:
-            continue
-        coset = [compose(g, h) for h in H.members]
-        reps.append(Permutation(min(c.image for c in coset)))
-        seen.update(c.image for c in coset)
-    return reps
+    return [G.elements[i] for i in H.cosets().rep_ids]
+
+
+def double_coset_cosets(H: SubgroupHandle, s: Permutation) -> set[int]:
+    """The left cosets of H inside HsH, as coset-table numbers."""
+    if s not in H.parent:
+        raise GroupError("element not in the parent group of H")
+    coset_of = H.cosets().coset_of
+    right_s = H.parent.right(s)
+    return {coset_of[right_s[h]] for h in H.ids}
 
 
 def double_coset(H: SubgroupHandle, s: Permutation) -> frozenset[Permutation]:
     """The set HsH = {h1*s*h2 : h1, h2 in H}."""
-    if s not in H.parent:
-        raise GroupError("element not in the parent group of H")
-    left = [compose(h, s) for h in H.members]
-    return frozenset(compose(t, h) for t in left for h in H.members)
+    members, elements = H.cosets().members, H.parent.elements
+    return frozenset(elements[i] for c in double_coset_cosets(H, s) for i in members[c])
 
 
 def double_coset_index(H: SubgroupHandle, s: Permutation) -> int:
     """Number of left cosets of H inside HsH, cross-checked against the
-    index formula |H| / |H ∩ sHs^-1|."""
-    dc = double_coset(H, s)
-    d = len(dc) // len(H)
+    index formula |H| / |H ∩ sHs^-1|, which is computed by conjugation
+    and so does not rest on the coset table."""
+    d = len(double_coset_cosets(H, s))
     s_inv = inverse(s)
     conjugated = {compose(compose(s, h), s_inv) for h in H.members}
     stab = conjugated & H.member_set
@@ -316,8 +404,11 @@ def double_coset_index(H: SubgroupHandle, s: Permutation) -> int:
 
 
 def normalizes(g: Permutation, H: SubgroupHandle) -> bool:
-    """True iff gHg^-1 = H as sets."""
+    """True iff gHg^-1 = H as sets, i.e. the left coset gH equals the right
+    coset Hg."""
     if g not in H.parent:
         raise GroupError("element not in the parent group of H")
-    g_inv = inverse(g)
-    return all(compose(compose(g, h), g_inv) in H.member_set for h in H.members)
+    table = H.cosets()
+    left = table.members[table.coset_of[H.parent.index[g.image]]]
+    right_g = H.parent.right(g)
+    return set(left) == {right_g[h] for h in H.ids}

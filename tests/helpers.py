@@ -1,19 +1,85 @@
 """Independent test-side oracles.
 
 These deliberately re-derive results through different code paths than the
-package: plain index-wise permutation application, Edmonds-Karp max-flow
-over dict-based residual graphs, and a full 2^n subset scan for atoms.
+package: plain index-wise permutation application, coset digraphs built
+from canonical representatives taken as minima over gH, Edmonds-Karp
+max-flow over dict-based residual graphs, and a full 2^n subset scan for
+atoms.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 
 def apply_then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Index-wise oracle for the product 'apply p first, then q' on
     1-based image tuples."""
     return tuple(q[v - 1] for v in p)
+
+
+def closure_images(degree: int, gens) -> list[tuple[int, ...]]:
+    """The group generated by the image tuples ``gens``, in breadth-first
+    discovery order under right multiplication (identity first)."""
+    identity = tuple(range(1, degree + 1))
+    elements, seen, frontier = [identity], {identity}, [identity]
+    while frontier:
+        new_frontier = []
+        for g in frontier:
+            for s in gens:
+                w = apply_then(g, s)
+                if w not in seen:
+                    seen.add(w)
+                    elements.append(w)
+                    new_frontier.append(w)
+        frontier = new_frontier
+    return elements
+
+
+@dataclass(frozen=True)
+class CosetDigraphOracle:
+    reps: tuple[tuple[int, ...], ...]
+    base_vertex: int
+    degrees: dict[str, int]
+    edge_class: dict[str, frozenset[tuple[int, int]]]
+
+
+def coset_digraph_oracle(spec) -> CosetDigraphOracle:
+    """The coset digraph of ``spec`` by the object path: the canonical
+    representative of gH is the least image tuple over g*h, h in H; the
+    representatives are taken in G's element order; generators are
+    deduplicated by double coset, first label wins; and u -> v is an edge
+    for s when some rep(u)*h*s lies in coset v."""
+    G = closure_images(spec.degree, [p.image for p in spec.group_generators])
+    H = closure_images(spec.degree, [p.image for p in spec.subgroup_generators])
+
+    def rep(g):
+        return min(apply_then(g, h) for h in H)
+
+    reps, seen = [], set()
+    for g in G:
+        if g not in seen:
+            coset = [apply_then(g, h) for h in H]
+            reps.append(min(coset))
+            seen.update(coset)
+    vertex = {r: i for i, r in enumerate(reps)}
+
+    def double_coset(s):
+        return {apply_then(apply_then(h1, s), h2) for h1 in H for h2 in H}
+
+    connection, double_cosets = {}, []
+    for lbl, p in spec.connection_set:
+        if not any(p.image in dc for dc in double_cosets):
+            connection[lbl] = p.image
+            double_cosets.append(double_coset(p.image))
+
+    degrees, edge_class = {}, {}
+    for (lbl, s), dc in zip(connection.items(), double_cosets):
+        degrees[lbl] = len(dc) // len(H)
+        edge_class[lbl] = frozenset((u, vertex[rep(apply_then(apply_then(g, h), s))])
+                                    for u, g in enumerate(reps) for h in H)
+    return CosetDigraphOracle(tuple(reps), vertex[rep(G[0])], degrees, edge_class)
 
 
 def reachable(adj, start: int) -> set[int]:
@@ -28,14 +94,25 @@ def reachable(adj, start: int) -> set[int]:
     return seen
 
 
-def edmonds_karp(n: int, arcs: list[tuple[int, int, int]], s: int, t: int) -> int:
-    """Independent max-flow: BFS augmenting paths over a dict residual."""
+def edmonds_karp(n: int, arcs: list[tuple[int, int, int]], s: int, t: int,
+                 limit: int | None = None) -> int:
+    """Independent max-flow: BFS augmenting paths over a dict residual,
+    stopped once the flow reaches ``limit`` when one is given."""
+    return _augment(_residual(n, arcs), s, t, limit)
+
+
+def _residual(n: int, arcs: list[tuple[int, int, int]]) -> list[dict[int, int]]:
     residual = [dict() for _ in range(n)]
     for u, v, cap in arcs:
         residual[u][v] = residual[u].get(v, 0) + cap
         residual[v].setdefault(u, 0)
+    return residual
+
+
+def _augment(residual: list[dict[int, int]], s: int, t: int, limit: int | None) -> int:
+    """Edmonds-Karp on ``residual``, which it consumes."""
     flow = 0
-    while True:
+    while limit is None or flow < limit:
         parent = {s: None}
         queue = deque([s])
         while queue and t not in parent:
@@ -56,17 +133,46 @@ def edmonds_karp(n: int, arcs: list[tuple[int, int, int]], s: int, t: int) -> in
             residual[u][v] -= push
             residual[v][u] += push
         flow += push
+    return flow
 
 
-def local_vertex_connectivity_oracle(g, s: int, t: int) -> int:
-    """Menger via Edmonds-Karp on an independently built split network."""
+def _split_network(g) -> list[dict[int, int]]:
     n = g.vertex_count
     arcs = [(2 * v, 2 * v + 1, 1) for v in range(n)]
     arcs += [(2 * u + 1, 2 * v, n) for u, v in g.edges()]
-    return edmonds_karp(2 * n, arcs, 2 * s + 1, 2 * t)
+    return _residual(2 * n, arcs)
+
+
+def local_vertex_connectivity_oracle(g, s: int, t: int, network=None,
+                                     limit: int | None = None) -> int:
+    """Menger via Edmonds-Karp on an independently built split network
+    (``network``, when given, is that network for g, left unchanged),
+    stopped at ``limit``."""
+    network = _split_network(g) if network is None else network
+    return _augment([dict(row) for row in network], 2 * s + 1, 2 * t, limit)
 
 
 def vertex_connectivity_oracle(g) -> int:
+    """Even (1975): a minimum separator S misses one of any |S| + 1
+    vertices, say v, and then S separates v from some vertex or some vertex
+    from v.  So flows from and to v_0, v_1, ... while i <= the running
+    minimum give the minimum over all pairs, on any digraph; pairs with an
+    earlier v_j were already run in both directions.  A flow that reaches
+    the running minimum cannot lower it, so it stops there."""
+    n = g.vertex_count
+    network = _split_network(g)
+    best = n - 1
+    v = 0
+    while v < n and v <= best:
+        for w in range(v + 1, n):
+            for s, t in ((v, w), (w, v)):
+                if not g.has_edge(s, t):
+                    best = local_vertex_connectivity_oracle(g, s, t, network, best)
+        v += 1
+    return best
+
+
+def _vertex_connectivity_all_pairs(g) -> int:
     n = g.vertex_count
     best = n - 1
     for s in range(n):

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from cosetkit import cli, coset
+from cosetkit import cli, coset, digraph
 from cosetkit.cp import gamma_label
 
 S4_MIXED_SPEC = {
@@ -119,12 +119,12 @@ class TestAnalyze:
     def test_connectivity_and_flow_kappa_computed_once(self, tmp_path, capsys,
                                                         monkeypatch):
         calls = Counter()
-        for name in ("vertex_connectivity_transitive",
-                     "strongly_connected_components"):
-            def counted(*args, _name=name, _original=getattr(coset, name)):
+        for module, name in ((coset, "vertex_connectivity_transitive"),
+                             (digraph, "strongly_connected_components")):
+            def counted(*args, _name=name, _original=getattr(module, name)):
                 calls[_name] += 1
                 return _original(*args)
-            monkeypatch.setattr(coset, name, counted)
+            monkeypatch.setattr(module, name, counted)
         path = write_spec(tmp_path, S4_MIXED_SPEC)
         code, _, _ = run(capsys, "analyze", path)
         assert code == 0

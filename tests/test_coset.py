@@ -6,13 +6,15 @@ from itertools import combinations
 
 import pytest
 
-from corpus import (instance, mixed_gens_spec, z6_disconnected_spec,
-                    z6_spec, CORPUS_NAMES, SMALL_NAMES)
-from cosetkit import (CosetDigraphSpec, GroupError, build, compose,
-                      dedupe_generators, double_coset, enumerate_closure,
-                      generation_connectivity, inverse, is_strongly_connected,
-                      parse_cycles, subgroup_generated, transpose,
-                      transpose_spec, trivial_subgroup, verify_automorphism)
+import helpers
+from corpus import (CORPUS_SPECS, cp_instance, instance, mixed_gens_spec,
+                    z6_disconnected_spec, z6_spec, CORPUS_NAMES, SMALL_NAMES)
+from cosetkit import (CosetDigraphSpec, CrossCheckError, GroupContext, GroupError,
+                      build, compose, dedupe_generators, double_coset,
+                      enumerate_closure, generation_connectivity, inverse,
+                      is_strongly_connected, parse_cycles, subgroup_generated,
+                      transpose, transpose_spec, trivial_subgroup,
+                      verify_automorphism)
 
 
 def perm(text, n):
@@ -221,6 +223,20 @@ class TestTransposeSpec:
             tr = transpose_spec(cd)
             assert tr.graph == transpose(cd.graph), name
 
+    @pytest.mark.parametrize("name", ["s4_mixed", "cp_4_2", "d5"])
+    def test_forward_tables_in_place_of_inverse_ones_raise(self, name, monkeypatch):
+        cd = build(CORPUS_SPECS[name]())
+        right = GroupContext.right
+        monkeypatch.setattr(GroupContext, "right",
+                            lambda group, p: right(group, inverse(p)))
+        with pytest.raises(CrossCheckError, match="reversed digraph"):
+            transpose_spec(cd)
+
+    def test_shares_the_group_enumeration(self):
+        cd = build(CORPUS_SPECS["cp_4_2"]())
+        tr = transpose_spec(cd)
+        assert tr.group is cd.group and tr.subgroup is cd.subgroup
+
     def test_degree_multiset_preserved(self):
         for name in SMALL_NAMES:
             cd = instance(name)
@@ -242,3 +258,22 @@ class TestClosure:
     def test_unknown_label_rejected(self):
         with pytest.raises(GroupError):
             instance("s4_mixed").closure(["a", "no-such-label"])
+
+
+def assert_matches_object_path(cd):
+    """``build`` agrees with the min-over-gH object path of the tests'
+    helpers in representatives and their order, base vertex, degrees and
+    edge classes."""
+    want = helpers.coset_digraph_oracle(cd.spec)
+    assert tuple(p.image for p in cd.vertices) == want.reps
+    assert cd.base_vertex == want.base_vertex
+    assert cd.degrees == want.degrees
+    assert cd.edge_class == want.edge_class
+
+
+class TestObjectPathOracle:
+    @pytest.mark.parametrize("name", CORPUS_NAMES + ("cp_6_2",))
+    def test_build_and_transpose_match(self, name):
+        cd = cp_instance(6, 2) if name == "cp_6_2" else instance(name)
+        assert_matches_object_path(cd)
+        assert_matches_object_path(transpose_spec(cd))

@@ -91,6 +91,22 @@ class TestStrongConnectivity:
                 helpers.is_strongly_connected_oracle(g.adj)
 
 
+class TestVertexConnectivityOracle:
+    def test_even_matches_all_pairs_on_random_digraphs(self):
+        # random, mostly non-transitive digraphs, some not strongly connected
+        rng = random.Random(1975)
+        values = set()
+        for _ in range(50):
+            n = rng.randrange(3, 10)
+            density = rng.random()
+            g = Digraph([[v for v in range(n) if v != u and rng.random() < density]
+                         for u in range(n)])
+            even = helpers.vertex_connectivity_oracle(g)
+            assert even == helpers._vertex_connectivity_all_pairs(g)
+            values.add(even)
+        assert len(values) >= 3
+
+
 class TestNeighborSet:
     def test_cycle_singleton(self):
         g = directed_cycle(6)

@@ -2,9 +2,10 @@
 
 Each example draws H = <h> and one to three connection permutations in S_4
 or S_5.  On a connected draw, the flow κ, with and without the stabiliser
-translations the CLI passes, must equal both the all-pairs Edmonds-Karp
-oracle and the subgroup scan, λ (both ways) must equal its oracle and the
-degree, and each certificate must separate its pair.
+translations the CLI passes, must equal both Even's Edmonds-Karp oracle
+and the subgroup scan, λ (both ways) must equal its oracle and the degree,
+and each certificate must separate its pair.  On every draw, the built
+instance and its transpose must equal the min-over-gH object path.
 """
 
 import pytest
@@ -17,7 +18,8 @@ from cosetkit import (CosetDigraphSpec, NotStronglyConnected, Permutation,  # no
                       build, edge_connectivity, enumerate_closure,
                       generation_connectivity, kappa_group_theoretic,
                       parse_cycles, stabiliser_translations, subgroup_generated,
-                      vertex_connectivity_transitive)
+                      transpose_spec, vertex_connectivity_transitive)
+from test_coset import assert_matches_object_path  # noqa: E402
 
 GENERATORS = {n: (parse_cycles("(1 2)", n), Permutation(list(range(2, n + 1)) + [1]))
               for n in (4, 5)}
@@ -75,3 +77,11 @@ def test_kappa_and_lambda_agree_with_oracles(spec):
     s, t = ecert.separated_pair
     assert len(ecert.separator) == lam
     assert not _reaches(g.adj, s, t, removed_edges=ecert.separator)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(coset_specs())
+def test_build_matches_object_path_oracle(spec):
+    cd = build(spec)
+    assert_matches_object_path(cd)
+    assert_matches_object_path(transpose_spec(cd))
