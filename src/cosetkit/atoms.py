@@ -181,8 +181,8 @@ def verify_atom_theory(cd: CosetDigraph, bruteforce_cap: int = DEFAULT_BRUTEFORC
 
     base_atom = next(a for a in atoms if inst.base_vertex in a)
     union = inst.union_of_cosets(base_atom)
-    s0 = tuple(lbl for lbl, p in inst.connection.items() if p in union)
-    if inst.closure(s0).member_set != union:
+    s0 = tuple(lbl for lbl, p in inst.connection.items() if inst.group.id_of(p) in union)
+    if inst.closure(s0).id_set != union:
         raise CrossCheckError("union of the base atom is not <H, S0>")
 
     base_sorted = sorted(base_atom)

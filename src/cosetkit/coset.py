@@ -103,9 +103,10 @@ class CosetDigraph:
         table, product = self.subgroup.cosets(), self.group.product_id
         return [table.coset_of[product(g, rep)] for rep in table.rep_ids]
 
-    def union_of_cosets(self, vertices) -> frozenset[Permutation]:
-        members, elements = self.subgroup.cosets().members, self.group.elements
-        return frozenset(elements[i] for v in vertices for i in members[v])
+    def union_of_cosets(self, vertices) -> frozenset[int]:
+        """Ids of the elements of G in the cosets ``vertices``."""
+        members = self.subgroup.cosets().members
+        return frozenset(i for v in vertices for i in members[v])
 
     def __repr__(self) -> str:
         return (f"<coset digraph |G|={len(self.group)} |H|={len(self.subgroup)} "

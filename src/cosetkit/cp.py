@@ -82,7 +82,7 @@ def verify_neighbor_multiplier(p: CPParams, F: SubgroupHandle,
     cd = cd if cd is not None else cp_build(p)
     h = cd.subgroup
     gprime = cd.closure(gamma_label(j) for j in range(2, p.n - p.k + 1))
-    if not (h.member_set <= F.member_set and F.member_set <= gprime.member_set):
+    if F.parent is not cd.group or not h.id_set <= F.id_set <= gprime.id_set:
         raise GroupError("F must satisfy H <= F <= G'")
     right_top = cd.group.right(gamma(p.n - p.k + 1, p.n))
     coset_of = h.cosets().coset_of

@@ -243,8 +243,7 @@ class SubgroupHandle:
     """A subgroup of a GroupContext: ``ids`` ascending, and the generator
     ids it was closed over.  Its coset table is built on first use."""
 
-    __slots__ = ("parent", "ids", "id_set", "generator_ids", "_members", "_member_set",
-                 "_cosets")
+    __slots__ = ("parent", "ids", "id_set", "generator_ids", "_cosets")
 
     def __init__(self, parent: GroupContext, ids: tuple[int, ...],
                  generator_ids: tuple[int, ...]):
@@ -252,8 +251,6 @@ class SubgroupHandle:
         self.ids = ids
         self.id_set = frozenset(ids)
         self.generator_ids = generator_ids
-        self._members: tuple[Permutation, ...] | None = None
-        self._member_set: frozenset[Permutation] | None = None
         self._cosets: CosetTable | None = None
 
     @property
@@ -262,15 +259,8 @@ class SubgroupHandle:
 
     @property
     def members(self) -> tuple[Permutation, ...]:
-        if self._members is None:
-            self._members = tuple(self.parent.elements[i] for i in self.ids)
-        return self._members
-
-    @property
-    def member_set(self) -> frozenset[Permutation]:
-        if self._member_set is None:
-            self._member_set = frozenset(self.members)
-        return self._member_set
+        elements = self.parent.elements
+        return tuple(elements[i] for i in self.ids)
 
     def cosets(self) -> CosetTable:
         if self._cosets is None:
@@ -393,9 +383,8 @@ def double_coset_index(H: SubgroupHandle, s: Permutation) -> int:
     and so does not rest on the coset table."""
     d = len(double_coset_cosets(H, s))
     s_inv = inverse(s)
-    conjugated = {compose(compose(s, h), s_inv) for h in H.members}
-    stab = conjugated & H.member_set
-    d_formula = len(H) // len(stab)
+    stab = sum(1 for h in H.members if compose(compose(s, h), s_inv) in H)
+    d_formula = len(H) // stab
     if d != d_formula:
         raise CrossCheckError(
             f"double coset index mismatch: |HsH|/|H| = {d} but "

@@ -15,7 +15,7 @@ from .coset import (CosetDigraph, CosetDigraphSpec, build, generation_connectivi
                     oracle_kappa, stabiliser_translations)
 from .digraph import e_atoms_bruteforce, edge_connectivity
 from .errors import GroupError
-from .perms import SubgroupHandle, double_coset, inverse
+from .perms import SubgroupHandle, double_coset_cosets, inverse
 
 THEOREM_IDS = ("decomposition", "corollary1", "corollary1_1", "hierarchical_gen",
                "hier1", "hierarchical_cayley", "hierarchical_gen_c", "edgec")
@@ -95,7 +95,8 @@ def _double_coset_clash(cd: CosetDigraph, gp: SubgroupHandle, labels,
     """Witness for the first pair a, b of labels with gp a gp = gp b gp but
     <H, a> != <H, b>, writing gp as ``name``; None when no pair clashes."""
     for a, b in combinations(labels, 2):
-        if cd.connection[b] in double_coset(gp, cd.connection[a]) and \
+        coset_b = gp.cosets().coset_of[cd.group.id_of(cd.connection[b])]
+        if coset_b in double_coset_cosets(gp, cd.connection[a]) and \
                 cd.closure([a]) != cd.closure([b]):
             return f"{name}{a}{name} = {name}{b}{name} but <H,{a}> != <H,{b}>"
     return None
@@ -120,7 +121,7 @@ def check_decomposition(cd: CosetDigraph, r1, r2) -> HypothesisReport:
     _require_connected(cd)
     gp = cd.closure(r1)
 
-    offenders = [lbl for lbl in r2 if cd.connection[lbl] in gp.member_set]
+    offenders = [lbl for lbl in r2 if cd.connection[lbl] in gp]
     hyp1 = Hypothesis("G' = <H, R1> contains no member of R2", not offenders,
                       f"{offenders[0]} lies in G'" if offenders else None)
 
@@ -270,7 +271,8 @@ def check_hierarchical_gen(cd: CosetDigraph, ordering=None,
                                f"< d_2 = {d_cum[1]}"))
     else:
         s1 = cd.connection[ordering[0]]
-        distinct = double_coset(cd.subgroup, s1) != double_coset(cd.subgroup, inverse(s1))
+        distinct = (double_coset_cosets(cd.subgroup, s1)
+                    != double_coset_cosets(cd.subgroup, inverse(s1)))
         hyps.append(Hypothesis("Hs_1^-1 H != Hs_1 H", distinct,
                                None if distinct else
                                f"Hs_1H = Hs_1^-1H for s_1 = {ordering[0]}"))

@@ -82,6 +82,17 @@ def coset_digraph_oracle(spec) -> CosetDigraphOracle:
     return CosetDigraphOracle(tuple(reps), vertex[rep(G[0])], degrees, edge_class)
 
 
+def assert_matches_object_path(cd) -> None:
+    """``cd`` agrees with ``coset_digraph_oracle`` of its spec in
+    representatives and their order, base vertex, degrees and edge
+    classes."""
+    want = coset_digraph_oracle(cd.spec)
+    assert tuple(p.image for p in cd.vertices) == want.reps
+    assert cd.base_vertex == want.base_vertex
+    assert cd.degrees == want.degrees
+    assert cd.edge_class == want.edge_class
+
+
 def reachable(adj, start: int) -> set[int]:
     seen = {start}
     queue = deque([start])
@@ -94,11 +105,9 @@ def reachable(adj, start: int) -> set[int]:
     return seen
 
 
-def edmonds_karp(n: int, arcs: list[tuple[int, int, int]], s: int, t: int,
-                 limit: int | None = None) -> int:
-    """Independent max-flow: BFS augmenting paths over a dict residual,
-    stopped once the flow reaches ``limit`` when one is given."""
-    return _augment(_residual(n, arcs), s, t, limit)
+def edmonds_karp(n: int, arcs: list[tuple[int, int, int]], s: int, t: int) -> int:
+    """Independent max-flow: BFS augmenting paths over a dict residual."""
+    return _augment(_residual(n, arcs), s, t, None)
 
 
 def _residual(n: int, arcs: list[tuple[int, int, int]]) -> list[dict[int, int]]:
@@ -110,7 +119,8 @@ def _residual(n: int, arcs: list[tuple[int, int, int]]) -> list[dict[int, int]]:
 
 
 def _augment(residual: list[dict[int, int]], s: int, t: int, limit: int | None) -> int:
-    """Edmonds-Karp on ``residual``, which it consumes."""
+    """Edmonds-Karp on ``residual``, which it consumes, stopped once the
+    flow reaches ``limit`` when one is given."""
     flow = 0
     while limit is None or flow < limit:
         parent = {s: None}
@@ -143,13 +153,9 @@ def _split_network(g) -> list[dict[int, int]]:
     return _residual(2 * n, arcs)
 
 
-def local_vertex_connectivity_oracle(g, s: int, t: int, network=None,
-                                     limit: int | None = None) -> int:
-    """Menger via Edmonds-Karp on an independently built split network
-    (``network``, when given, is that network for g, left unchanged),
-    stopped at ``limit``."""
-    network = _split_network(g) if network is None else network
-    return _augment([dict(row) for row in network], 2 * s + 1, 2 * t, limit)
+def local_vertex_connectivity_oracle(g, s: int, t: int) -> int:
+    """Menger via Edmonds-Karp on an independently built split network."""
+    return _augment(_split_network(g), 2 * s + 1, 2 * t, None)
 
 
 def vertex_connectivity_oracle(g) -> int:
@@ -167,7 +173,7 @@ def vertex_connectivity_oracle(g) -> int:
         for w in range(v + 1, n):
             for s, t in ((v, w), (w, v)):
                 if not g.has_edge(s, t):
-                    best = local_vertex_connectivity_oracle(g, s, t, network, best)
+                    best = _augment([dict(row) for row in network], 2 * s + 1, 2 * t, best)
         v += 1
     return best
 

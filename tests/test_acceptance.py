@@ -160,7 +160,7 @@ def test_criterion_7_double_coset_index_identity():
                 for h in subgroup.members}
         s_inv = inverse(s)
         stabilizer = sum(1 for h in subgroup.members
-                         if compose(compose(s, h), s_inv) in subgroup.member_set)
+                         if compose(compose(s, h), s_inv) in subgroup)
         assert len(reps) == len(subgroup) // stabilizer
         pairs += 1
     _report(7, f"|HsH/H| = |H|/|H n sHs^-1| over {pairs} randomized pairs, "

@@ -19,7 +19,6 @@ from cosetkit import (CosetDigraphSpec, NotStronglyConnected, Permutation,  # no
                       generation_connectivity, kappa_group_theoretic,
                       parse_cycles, stabiliser_translations, subgroup_generated,
                       transpose_spec, vertex_connectivity_transitive)
-from test_coset import assert_matches_object_path  # noqa: E402
 
 GENERATORS = {n: (parse_cycles("(1 2)", n), Permutation(list(range(2, n + 1)) + [1]))
               for n in (4, 5)}
@@ -32,8 +31,8 @@ def coset_specs(draw):
     group = GROUPS[n]
     # |H| >= 2 in S_5 keeps the all-pairs oracle to at most 60 vertices
     h = draw(st.sampled_from([p for p in group.elements if n == 4 or p.order() > 1]))
-    h_members = subgroup_generated(group, None, [h]).member_set
-    outside = st.sampled_from(group.elements).filter(lambda p: p not in h_members)
+    h_group = subgroup_generated(group, None, [h])
+    outside = st.sampled_from(group.elements).filter(lambda p: p not in h_group)
     connection = draw(st.lists(outside, min_size=1, max_size=3, unique=True))
     return CosetDigraphSpec(n, GENERATORS[n], (h,),
                             tuple((f"s{i}", p) for i, p in enumerate(connection)))
@@ -83,5 +82,5 @@ def test_kappa_and_lambda_agree_with_oracles(spec):
 @given(coset_specs())
 def test_build_matches_object_path_oracle(spec):
     cd = build(spec)
-    assert_matches_object_path(cd)
-    assert_matches_object_path(transpose_spec(cd))
+    helpers.assert_matches_object_path(cd)
+    helpers.assert_matches_object_path(transpose_spec(cd))
