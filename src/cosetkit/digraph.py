@@ -1,9 +1,10 @@
 """Generic finite digraph engine.
 
 Strong connectivity, neighbor sets, exact vertex/edge connectivity of
-vertex-transitive digraphs by unit-capacity max-flows (Dinic) from one base
-vertex, one flow per orbit of the given automorphisms fixing it, with
-minimum-cut certificates, and brute-force atom / e-atom enumeration.
+vertex-transitive digraphs by one merged-source augmenting-path pass from
+one base vertex over the orbits of the given automorphisms fixing it, with
+a minimum-cut certificate from one re-run max-flow (Dinic), and brute-force
+atom / e-atom enumeration.
 """
 
 from __future__ import annotations
@@ -172,8 +173,8 @@ def neighbor_set(g: Digraph, vertices: Iterable[int]) -> tuple[frozenset[int], b
 
 
 class _UnitFlow:
-    """Dinic max-flow for small integer-capacity networks, reusable across
-    source/sink pairs via cap snapshot/reset."""
+    """Dinic max-flow and the merged-source pass for small integer-capacity
+    networks, reusable across source/sink pairs via cap snapshot/reset."""
 
     def __init__(self, n: int):
         self.n = n
@@ -254,6 +255,53 @@ class _UnitFlow:
                 flow += 1
         return flow
 
+    def merged_pass(self, source: int, sinks: Iterable[int], bound: int) -> int:
+        """Least over ``sinks`` of the max flow into each from ``source`` and
+        the sinks before it, each stopped at the least so far (at first
+        ``bound``), in one flow never reset (Hao & Orlin).  A sink gets
+        augmenting paths from backward breadth-first searches that stop at
+        the first source-set node, then joins the source set: only the sink
+        node, so in-node 2t on the vertex-split network.  Exact from a fixed
+        source s in any sink order: all flow runs between source-set nodes,
+        so a step's value is the min cut from the source set to its sink, at
+        least the one from s; for a min cut (X, Y) from s to a minimising
+        sink, the first sink not in X is in Y and the earlier ones in X, so
+        that step is at most the cut.  A separator vertex v has 2v in X and
+        2v+1 in Y, so 2v+1 may not join."""
+        to, cap, head = self.to, self.cap, self.head
+        merged = [False] * self.n
+        merged[source] = True
+        via = [0] * self.n              # arc from a searched node towards the sink
+        seen = [0] * self.n             # number of the last search to reach a node
+        search, best = 0, bound
+        for t in sinks:
+            flow = 0
+            while flow < best:
+                search += 1
+                seen[t], queue, hit = search, [t], -1
+                for u in queue:         # the list grows as it is read
+                    for e in head[u]:
+                        x = to[e]
+                        if seen[x] != search and cap[e ^ 1] > 0:
+                            seen[x], via[x] = search, e ^ 1
+                            if merged[x]:
+                                hit = x
+                                break
+                            queue.append(x)
+                    if hit >= 0:
+                        break
+                if hit < 0:
+                    break               # no source-set node is reachable
+                while hit != t:
+                    e = via[hit]
+                    cap[e] -= 1
+                    cap[e ^ 1] += 1
+                    hit = to[e]
+                flow += 1
+            best = min(best, flow)
+            merged[t] = True
+        return best
+
     def residual_reachable(self, s: int) -> set[int]:
         seen = {s}
         queue = deque([s])
@@ -294,10 +342,10 @@ def _require_strongly_connected(g: Digraph) -> None:
 
 def _orbit_minima(g: Digraph, base: int,
                   symmetries: Iterable[Sequence[int]]) -> list[int]:
-    """Least vertex of each orbit of the group generated by ``symmetries``,
-    ascending.  Each must be an automorphism of ``g`` fixing ``base``, so
-    that local connectivities from ``base`` are constant on orbits; this is
-    checked on the digraph and a failure raises CrossCheckError."""
+    """Least vertex of each orbit but {base} of the group generated by
+    ``symmetries``, in breadth-first order from ``base``.  Each must be an
+    automorphism of ``g`` fixing ``base``, so that local connectivities from
+    ``base`` are constant on orbits; checked here, else CrossCheckError."""
     n = g.vertex_count
     root = list(range(n))
 
@@ -318,29 +366,34 @@ def _orbit_minima(g: Digraph, base: int,
             a, b = find(u), find(phi[u])
             if a != b:
                 root[max(a, b)] = min(a, b)
-    return [v for v in range(n) if find(v) == v]
+    order, seen = [base], {base}
+    for u in order:                     # the list grows as it is read
+        for v in g.adj[u]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    return [v for v in order[1:] if find(v) == v]
 
 
-def _least_cut(net: _UnitFlow, source: int, sinks: Iterable[int],
-               bound: int) -> tuple[int, int, set[int]]:
-    """Least max-flow from ``source`` over ``sinks``, each flow stopped once
-    it reaches the best value so far (starting from ``bound``).  The flow to
-    the best sink, the first in sweep order to reach the least value, is
-    re-run in full, and its value, that sink and the source's
-    residual-reachable set (the source side of a minimum cut) are
-    returned."""
-    best, best_sink = bound, None
-    for t in sinks:
-        net.reset()
-        f = net.maxflow(source, t, limit=best)
-        if f < best:
-            best, best_sink = f, t
-    if best_sink is None:
+def _certified_cut(net: _UnitFlow, source: int, sinks: list[int],
+                   bound: int) -> tuple[int, int, set[int]]:
+    """Least max-flow from ``source`` into one of ``sinks`` by the merged
+    pass from ``bound``, with its certificate: the first sink in ascending
+    order whose fresh flow equals it, and the source's residual-reachable
+    set in that flow (the source side of a minimum cut).  A fresh flow
+    below the pass's value, or none equal to it, raises CrossCheckError."""
+    best = net.merged_pass(source, sinks, bound)
+    if best >= bound:
         raise CrossCheckError(f"no sink has a flow below the bound {bound}")
-    net.reset()
-    if net.maxflow(source, best_sink) != best:
-        raise CrossCheckError("re-run max-flow disagrees with the sweep's minimum")
-    return best, best_sink, net.residual_reachable(source)
+    for t in sorted(sinks):
+        net.reset()
+        flow = net.maxflow(source, t, limit=best + 1)
+        if flow < best:
+            raise CrossCheckError(f"a re-run max-flow of {flow} lies below the "
+                                  f"merged pass's minimum {best}: the pass missed a cut")
+        if flow == best:
+            return best, t, net.residual_reachable(source)
+    raise CrossCheckError("no re-run max-flow reaches the merged pass's minimum")
 
 
 def vertex_connectivity_transitive(g: Digraph, base: int,
@@ -351,17 +404,16 @@ def vertex_connectivity_transitive(g: Digraph, base: int,
     as certificate.  Complete digraphs yield n-1 with no certificate.
 
     ``symmetries`` are automorphisms fixing ``base`` (vertex permutations,
-    verified here); one flow per orbit of the group they generate suffices,
-    and the certificate is the one the sweep over every vertex would give."""
+    verified here); one sink per orbit of the group they generate suffices,
+    and the certificate is the one that every vertex as a sink would give."""
     _require_strongly_connected(g)
     n = g.vertex_count
     if g.is_complete():
         return n - 1, None
     # automorphisms fixing base preserve adjacency to base, so an orbit is
     # a non-neighbor exactly when its least vertex is
-    sinks = (2 * t for t in _orbit_minima(g, base, symmetries)
-             if t != base and not g.has_edge(base, t))
-    kappa, sink, reach = _least_cut(_vertex_split_network(g), 2 * base + 1, sinks, n - 1)
+    sinks = [2 * t for t in _orbit_minima(g, base, symmetries) if not g.has_edge(base, t)]
+    kappa, sink, reach = _certified_cut(_vertex_split_network(g), 2 * base + 1, sinks, n - 1)
     separator = tuple(v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach)
     if len(separator) != kappa:
         raise CrossCheckError("vertex min-cut extraction disagrees with max-flow value")
@@ -376,16 +428,15 @@ def edge_connectivity(g: Digraph, base: int,
     cut as certificate.  A minimum cut separates some pair (x, y), and an
     automorphism taking x to ``base`` turns it into a cut from ``base``, so
     flows into ``base`` are not needed.  ``symmetries`` are automorphisms
-    fixing ``base``, as for ``vertex_connectivity_transitive``: one flow per
+    fixing ``base``, as for ``vertex_connectivity_transitive``: one sink per
     orbit.  A one-vertex digraph yields 0 with no certificate."""
     _require_strongly_connected(g)
     n = g.vertex_count
     if n <= 1:
         return 0, None
-    lam, sink, reach = _least_cut(_edge_network(g), base,
-                                  (t for t in _orbit_minima(g, base, symmetries)
-                                   if t != base),
-                                  len(g.adj[base]) + 1)
+    lam, sink, reach = _certified_cut(_edge_network(g), base,
+                                      _orbit_minima(g, base, symmetries),
+                                      len(g.adj[base]) + 1)
     cut = tuple((u, v) for u, v in g.edges() if u in reach and v not in reach)
     if len(cut) != lam:
         raise CrossCheckError("edge min-cut extraction disagrees with max-flow value")

@@ -16,9 +16,10 @@ from cosetkit import (Permutation, atoms_bruteforce, build, canonical_coset_rep,
                       edge_connectivity, enumerate_closure,
                       generation_connectivity, hierarchical_order_search,
                       inverse, kappa_group_theoretic, neighbor_set,
-                      out_edge_count, parse_cycles, subgroup_generated,
-                      transpose_spec, trivial_subgroup, verify_atom_theory,
-                      verify_automorphism, verify_edge_connectivity,
+                      out_edge_count, parse_cycles, stabiliser_translations,
+                      subgroup_generated, transpose_spec, trivial_subgroup,
+                      verify_atom_theory, verify_automorphism,
+                      verify_edge_connectivity,
                       verify_hierarchical_cayley,
                       vertex_connectivity_transitive)
 from cosetkit.cp import CPParams, cp_degree_profile, gamma_label
@@ -83,6 +84,22 @@ def test_criterion_2_cp_family():
     assert elapsed < 120.0
     _report(2, f"{count} CP instances: |V| = n!/k!, degree profile exact, "
                f"kappa = lambda = n-1 ({elapsed:.1f}s)")
+
+
+def test_cp7_family_optimal():
+    # criterion 2's kappa(CP(n, k)) = n - 1 at n = 7, with the symmetries
+    # the CLI passes; CP(7, 1) has 5040 vertices
+    t0 = time.perf_counter()
+    for k in range(1, 7):
+        cd = cp_instance(7, k)
+        symmetries = stabiliser_translations(cd)
+        kappa, _ = vertex_connectivity_transitive(cd.graph, cd.base_vertex, symmetries)
+        lam, _ = edge_connectivity(cd.graph, cd.base_vertex, symmetries)
+        assert kappa == lam == 6, k
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60.0
+    print(f"ACCEPTANCE 2 (n = 7): PASS — CP(7, k) for k = 1..6: "
+          f"kappa = lambda = 6 ({elapsed:.1f}s)")
 
 
 def test_criterion_3_oracle_equivalence():

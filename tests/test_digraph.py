@@ -13,7 +13,7 @@ from cosetkit import (CapExceeded, CompleteDigraphError, CrossCheckError, Digrap
                       is_strongly_connected, neighbor_set, out_edge_count,
                       stabiliser_translations, strongly_connected_components,
                       transpose, vertex_connectivity_transitive)
-from cosetkit.digraph import _UnitFlow
+from cosetkit.digraph import _UnitFlow, _vertex_split_network
 
 
 def directed_cycle(n):
@@ -172,6 +172,20 @@ class TestVertexConnectivity:
             assert vertex_connectivity_transitive(transpose(cd.graph),
                                                   cd.base_vertex)[0] == kappa, name
 
+    def test_merged_pass_merges_only_the_in_node(self):
+        # breadth-first from 0: 0, 3, 4, 2, 1, so the non-neighbors come as
+        # 2, then 1.  The only in-neighbor of 1 is 2, so kappa(0, 1) = 1.
+        g = Digraph([[3, 4], [0, 3], [1], [2], [2, 3]])
+        assert helpers.local_vertex_connectivity_oracle(g, 0, 2) == 2
+        assert _vertex_split_network(g).merged_pass(1, [4, 2], 5) == 1
+        kappa, cert = vertex_connectivity_transitive(g, 0)
+        assert (kappa, cert.separator, cert.separated_pair) == (1, (2,), (0, 1))
+        # merging all of vertex 2 puts its out-node 5 in the source set, as
+        # an unbounded arc from the source does; sink 1 then yields 2
+        whole = _vertex_split_network(g)
+        whole.add_edge(1, 5, 5)
+        assert whole.merged_pass(1, [4, 2], 5) == 2
+
 
 def _small_side_atoms(cd):
     """Atoms of size <= (n - kappa)/2 on whichever side has them first,
@@ -240,24 +254,20 @@ class TestEdgeConnectivity:
             assert kappa <= lam <= min(len(row) for row in g.adj)
 
     def test_one_flow_per_sink_plus_certificate(self, monkeypatch):
-        # from one base vertex: n - 1 sweep flows and one certificate re-run,
-        # where sweeping both directions took 2(n - 1) + 1
-        calls = []
-        original = _UnitFlow.maxflow
-
-        def counted(self, *args, **kwargs):
-            calls.append(args)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(_UnitFlow, "maxflow", counted)
+        # from one base vertex: one merged pass over the n - 1 other vertices
+        # and one certificate flow, where a fresh flow per sink took n
+        calls = _count_flows(monkeypatch)
+        passes = _count_merged_sinks(monkeypatch)
         for name in ("s4_mixed", "cp_4_2", "q8"):
             cd = instance(name)
             n = cd.graph.vertex_count
             assert not cd.graph.is_complete()
             calls.clear()
+            passes.clear()
             lam, _ = edge_connectivity(cd.graph, cd.base_vertex)
             assert lam == cd.degree, name
-            assert len(calls) == n, name
+            assert passes == [n - 1], name
+            assert len(calls) == 1, name
             assert all(source == cd.base_vertex for source, _ in calls), name
 
 
@@ -279,6 +289,19 @@ def _count_flows(monkeypatch):
     return calls
 
 
+def _count_merged_sinks(monkeypatch):
+    """The number of sinks each merged pass receives."""
+    passes = []
+    original = _UnitFlow.merged_pass
+
+    def counted(self, source, sinks, bound):
+        passes.append(len(sinks))
+        return original(self, source, sinks, bound)
+
+    monkeypatch.setattr(_UnitFlow, "merged_pass", counted)
+    return passes
+
+
 class TestStabiliserOrbits:
     def test_orbit_sweep_equals_full_sweep_on_corpus(self):
         # same value, separated pair and separator as with every sink
@@ -295,7 +318,9 @@ class TestStabiliserOrbits:
         assert nontrivial >= 5
 
     def test_one_flow_per_orbit_plus_certificate(self, monkeypatch):
+        # one merged-pass sink per orbit and one certificate flow
         calls = _count_flows(monkeypatch)
+        passes = _count_merged_sinks(monkeypatch)
         for name in ("cp_4_2", "cp_5_2", "random_0"):
             cd = instance(name)
             g, base = cd.graph, cd.base_vertex
@@ -305,15 +330,19 @@ class TestStabiliserOrbits:
             symmetries = stabiliser_translations(cd)
 
             calls.clear()
+            passes.clear()
             vertex_connectivity_transitive(g, base, symmetries)
             far = [t for t in minima if t != base and not g.has_edge(base, t)]
-            assert len(calls) == len(far) + 1, name
-            assert len(calls) < n - 1 - d + 1, name
+            assert passes == [len(far)], name
+            assert len(far) < n - 1 - d, name
+            assert len(calls) == 1, name
 
             calls.clear()
+            passes.clear()
             edge_connectivity(g, base, symmetries)
-            # every orbit but {base}, plus the certificate re-run
-            assert len(calls) == len(minima) - 1 + 1, name
+            # every orbit but {base}
+            assert passes == [len(minima) - 1], name
+            assert len(calls) == 1, name
 
     def test_symmetry_moving_base_raises(self):
         rotation = [1, 2, 3, 4, 5, 0]      # an automorphism that moves 0

@@ -6,6 +6,10 @@ translations the CLI passes, must equal both Even's Edmonds-Karp oracle
 and the subgroup scan, λ (both ways) must equal its oracle and the degree,
 and each certificate must separate its pair.  On every draw, the built
 instance and its transpose must equal the min-over-gH object path.
+
+Separately, on random digraphs with 3 to 10 vertices (mostly neither
+vertex-transitive nor strongly connected), the merged-source flow pass from
+a fixed source must equal the per-sink flow sweep and Edmonds-Karp.
 """
 
 import pytest
@@ -14,11 +18,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import helpers  # noqa: E402
-from cosetkit import (CosetDigraphSpec, NotStronglyConnected, Permutation,  # noqa: E402
-                      build, edge_connectivity, enumerate_closure,
+from cosetkit import (CosetDigraphSpec, Digraph, NotStronglyConnected,  # noqa: E402
+                      Permutation, build, edge_connectivity, enumerate_closure,
                       generation_connectivity, kappa_group_theoretic,
                       parse_cycles, stabiliser_translations, subgroup_generated,
                       transpose_spec, vertex_connectivity_transitive)
+from cosetkit.digraph import _edge_network, _vertex_split_network  # noqa: E402
 
 GENERATORS = {n: (parse_cycles("(1 2)", n), Permutation(list(range(2, n + 1)) + [1]))
               for n in (4, 5)}
@@ -84,3 +89,37 @@ def test_build_matches_object_path_oracle(spec):
     cd = build(spec)
     helpers.assert_matches_object_path(cd)
     helpers.assert_matches_object_path(transpose_spec(cd))
+
+
+@st.composite
+def digraphs(draw):
+    n = draw(st.integers(3, 10))
+    return Digraph([sorted(draw(st.sets(st.sampled_from([v for v in range(n) if v != u]))))
+                    for u in range(n)])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(digraphs(), st.data())
+def test_merged_pass_equals_per_sink_sweep(g, data):
+    n = g.vertex_count
+    base = data.draw(st.integers(0, n - 1))
+    if data.draw(st.booleans()):
+        order = [base]                  # breadth-first, then the unreachable
+        for u in order:
+            order += [v for v in g.adj[u] if v not in order]
+        order += [v for v in range(n) if v not in order]
+    else:
+        order = data.draw(st.permutations(range(n)))
+    far = [t for t in order if t != base and not g.has_edge(base, t)]
+    arcs = [(u, v, 1) for u, v in g.edges()]
+    for net, source, sinks, local in (
+            (_vertex_split_network(g), 2 * base + 1, [2 * t for t in far],
+             [helpers.local_vertex_connectivity_oracle(g, base, t) for t in far]),
+            (_edge_network(g), base, [t for t in order if t != base],
+             [helpers.edmonds_karp(n, arcs, base, t) for t in order if t != base])):
+        if not sinks:
+            continue
+        expected, _, _ = helpers.least_cut_per_sink_oracle(net, source, sinks, n)
+        assert expected == min(local)
+        net.reset()
+        assert net.merged_pass(source, sinks, n) == expected
