@@ -217,8 +217,8 @@ def stabiliser_translations(cd: CosetDigraph) -> tuple[tuple[int, ...], ...]:
 
 
 def oracle_kappa(cd: CosetDigraph) -> int:
-    """Vertex connectivity by Dinic flows from the base vertex (valid since
-    coset digraphs are vertex-transitive), one per H-orbit of sinks;
+    """Vertex connectivity by max-flow from the base vertex (valid since
+    coset digraphs are vertex-transitive), with one sink per H-orbit;
     computed once per instance."""
     if cd._kappa is None:
         cd._kappa, _ = vertex_connectivity_transitive(cd.graph, cd.base_vertex,

@@ -3,8 +3,8 @@
 Strong connectivity, neighbor sets, exact vertex/edge connectivity of
 vertex-transitive digraphs by one merged-source augmenting-path pass from
 one base vertex over the orbits of the given automorphisms fixing it, with
-a minimum-cut certificate from one re-run max-flow (Dinic), and brute-force
-atom / e-atom enumeration.
+a minimum-cut certificate from one re-run max-flow, and brute-force atom /
+e-atom enumeration.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ def neighbor_set(g: Digraph, vertices: Iterable[int]) -> tuple[frozenset[int], b
 
 
 class _UnitFlow:
-    """Dinic max-flow and the merged-source pass for small integer-capacity
-    networks, reusable across source/sink pairs via cap snapshot/reset."""
+    """Merged-source augmenting-path pass (with one sink, a plain bounded
+    max-flow) on small integer-capacity networks, reset from a snapshot."""
 
     def __init__(self, n: int):
         self.n = n
@@ -196,64 +196,6 @@ class _UnitFlow:
 
     def reset(self) -> None:
         self.cap[:] = self._cap0
-
-    def maxflow(self, s: int, t: int, limit: int | None = None) -> int:
-        """Max flow from s to t; stops early once ``limit`` is reached (the
-        true value is then known to be >= limit)."""
-        to, cap, head = self.to, self.cap, self.head
-        flow = 0
-        while limit is None or flow < limit:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = deque([s])
-            # vertices at the sink's depth or deeper lie on no shortest
-            # augmenting path, so the search stops once the sink has a level
-            while queue and level[t] < 0:
-                u = queue.popleft()
-                for e in head[u]:
-                    v = to[e]
-                    if cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                break
-            it = [0] * self.n
-            while limit is None or flow < limit:
-                stack = [s]
-                parent: dict[int, int] = {}
-                reached = False
-                while stack:
-                    u = stack[-1]
-                    if u == t:
-                        reached = True
-                        break
-                    advanced = False
-                    while it[u] < len(head[u]):
-                        e = head[u][it[u]]
-                        v = to[e]
-                        if cap[e] > 0 and level[v] == level[u] + 1:
-                            parent[v] = e
-                            stack.append(v)
-                            advanced = True
-                            break
-                        it[u] += 1
-                    if not advanced:
-                        level[u] = -2
-                        stack.pop()
-                        if stack:
-                            it[stack[-1]] += 1
-                if not reached:
-                    break
-                # one unit per path is valid on integer capacities, and the
-                # unit split or edge arcs make that every path's bottleneck
-                v = t
-                while v != s:
-                    e = parent[v]
-                    cap[e] -= 1
-                    cap[e ^ 1] += 1
-                    v = to[e ^ 1]
-                flow += 1
-        return flow
 
     def merged_pass(self, source: int, sinks: Iterable[int], bound: int) -> int:
         """Least over ``sinks`` of the max flow into each from ``source`` and
@@ -379,15 +321,16 @@ def _certified_cut(net: _UnitFlow, source: int, sinks: list[int],
                    bound: int) -> tuple[int, int, set[int]]:
     """Least max-flow from ``source`` into one of ``sinks`` by the merged
     pass from ``bound``, with its certificate: the first sink in ascending
-    order whose fresh flow equals it, and the source's residual-reachable
-    set in that flow (the source side of a minimum cut).  A fresh flow
-    below the pass's value, or none equal to it, raises CrossCheckError."""
+    order whose fresh flow, the pass with that sink alone stopped at best + 1,
+    equals it, and the source's residual-reachable set in that flow (the least
+    source side of a minimum cut, the same for every maximum flow).  A fresh
+    flow below the pass's value, or none equal to it, raises CrossCheckError."""
     best = net.merged_pass(source, sinks, bound)
     if best >= bound:
         raise CrossCheckError(f"no sink has a flow below the bound {bound}")
     for t in sorted(sinks):
         net.reset()
-        flow = net.maxflow(source, t, limit=best + 1)
+        flow = net.merged_pass(source, (t,), best + 1)
         if flow < best:
             raise CrossCheckError(f"a re-run max-flow of {flow} lies below the "
                                   f"merged pass's minimum {best}: the pass missed a cut")

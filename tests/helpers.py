@@ -4,8 +4,9 @@ These deliberately re-derive results through different code paths than the
 package: plain index-wise permutation application, coset digraphs built
 from canonical representatives taken as minima over gH, Edmonds-Karp
 max-flow over dict-based residual graphs, and a full 2^n subset scan for
-atoms.  The per-sink flow sweep runs the package's own max-flow, as the
-reference for the merged-source pass that replaced it.
+atoms.  The per-sink flow sweep runs the package's merged pass with one
+sink at a time, a plain max-flow, as the reference for the merged-source
+pass over all sinks that replaced it.
 """
 
 from __future__ import annotations
@@ -200,21 +201,22 @@ def edge_connectivity_oracle(g) -> int:
 
 def least_cut_per_sink_oracle(net, source: int, sinks, bound: int):
     """The per-sink sweep that the merged pass replaced, on a package flow
-    network ``net``: a fresh max-flow from ``source`` to each sink, each
-    stopped once it reaches the best value so far (starting from
+    network ``net``: a fresh single-sink max-flow from ``source`` to each
+    sink, each stopped once it reaches the best value so far (starting from
     ``bound``).  The flow to the best sink, the first in sweep order to
-    reach the least value, is re-run in full, and its value, that sink and
-    the source's residual-reachable set are returned."""
+    reach the least value, is re-run until no augmenting path is left, and
+    its value, that sink and the source's residual-reachable set are
+    returned."""
     best, best_sink = bound, None
     for t in sinks:
         net.reset()
-        f = net.maxflow(source, t, limit=best)
+        f = net.merged_pass(source, (t,), best)
         if f < best:
             best, best_sink = f, t
     if best_sink is None:
         raise AssertionError(f"no sink has a flow below the bound {bound}")
     net.reset()
-    if net.maxflow(source, best_sink) != best:
+    if net.merged_pass(source, (best_sink,), best + 1) != best:
         raise AssertionError("re-run max-flow disagrees with the sweep's minimum")
     return best, best_sink, net.residual_reachable(source)
 

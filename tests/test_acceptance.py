@@ -122,6 +122,9 @@ def test_criterion_4_edge_connectivity():
         report = verify_edge_connectivity(cd)
         assert report.computed_kappa == sum(cd.degrees.values()), name
         assert report.consistent, name  # includes singleton e-atoms
+        n = cd.graph.vertex_count
+        eatoms = e_atoms_bruteforce(cd.graph, lam=report.computed_kappa, cap=n)
+        assert eatoms.members == tuple(frozenset([v]) for v in range(n)), name
     _report(4, f"lambda = sum d_s and singleton e-atoms on "
                f"{len(CORPUS_NAMES)} instances")
 

@@ -255,20 +255,17 @@ class TestEdgeConnectivity:
 
     def test_one_flow_per_sink_plus_certificate(self, monkeypatch):
         # from one base vertex: one merged pass over the n - 1 other vertices
-        # and one certificate flow, where a fresh flow per sink took n
-        calls = _count_flows(monkeypatch)
+        # and one single-sink certificate flow, where a fresh flow per sink
+        # took n
         passes = _count_merged_sinks(monkeypatch)
         for name in ("s4_mixed", "cp_4_2", "q8"):
             cd = instance(name)
-            n = cd.graph.vertex_count
+            n, base = cd.graph.vertex_count, cd.base_vertex
             assert not cd.graph.is_complete()
-            calls.clear()
             passes.clear()
-            lam, _ = edge_connectivity(cd.graph, cd.base_vertex)
+            lam, _ = edge_connectivity(cd.graph, base)
             assert lam == cd.degree, name
-            assert passes == [n - 1], name
-            assert len(calls) == 1, name
-            assert all(source == cd.base_vertex for source, _ in calls), name
+            assert passes == [(base, n - 1), (base, 1)], name
 
 
 def _h_orbit_minima(cd):
@@ -277,25 +274,14 @@ def _h_orbit_minima(cd):
                    for rep in cd.vertices})
 
 
-def _count_flows(monkeypatch):
-    calls = []
-    original = _UnitFlow.maxflow
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(_UnitFlow, "maxflow", counted)
-    return calls
-
-
 def _count_merged_sinks(monkeypatch):
-    """The number of sinks each merged pass receives."""
+    """The source and the number of sinks of each merged pass, in call
+    order."""
     passes = []
     original = _UnitFlow.merged_pass
 
     def counted(self, source, sinks, bound):
-        passes.append(len(sinks))
+        passes.append((source, len(sinks)))
         return original(self, source, sinks, bound)
 
     monkeypatch.setattr(_UnitFlow, "merged_pass", counted)
@@ -318,8 +304,7 @@ class TestStabiliserOrbits:
         assert nontrivial >= 5
 
     def test_one_flow_per_orbit_plus_certificate(self, monkeypatch):
-        # one merged-pass sink per orbit and one certificate flow
-        calls = _count_flows(monkeypatch)
+        # one merged-pass sink per orbit and one single-sink certificate flow
         passes = _count_merged_sinks(monkeypatch)
         for name in ("cp_4_2", "cp_5_2", "random_0"):
             cd = instance(name)
@@ -329,20 +314,17 @@ class TestStabiliserOrbits:
             minima = _h_orbit_minima(cd)
             symmetries = stabiliser_translations(cd)
 
-            calls.clear()
             passes.clear()
             vertex_connectivity_transitive(g, base, symmetries)
             far = [t for t in minima if t != base and not g.has_edge(base, t)]
-            assert passes == [len(far)], name
+            out_node = 2 * base + 1
+            assert passes == [(out_node, len(far)), (out_node, 1)], name
             assert len(far) < n - 1 - d, name
-            assert len(calls) == 1, name
 
-            calls.clear()
             passes.clear()
             edge_connectivity(g, base, symmetries)
             # every orbit but {base}
-            assert passes == [len(minima) - 1], name
-            assert len(calls) == 1, name
+            assert passes == [(base, len(minima) - 1), (base, 1)], name
 
     def test_symmetry_moving_base_raises(self):
         rotation = [1, 2, 3, 4, 5, 0]      # an automorphism that moves 0

@@ -9,7 +9,9 @@ instance and its transpose must equal the min-over-gH object path.
 
 Separately, on random digraphs with 3 to 10 vertices (mostly neither
 vertex-transitive nor strongly connected), the merged-source flow pass from
-a fixed source must equal the per-sink flow sweep and Edmonds-Karp.
+a fixed source must equal the per-sink flow sweep and Edmonds-Karp, and the
+pass with a single sink must be Edmonds-Karp's max-flow stopped at its
+bound, with a cut of that capacity below it.
 """
 
 import pytest
@@ -123,3 +125,25 @@ def test_merged_pass_equals_per_sink_sweep(g, data):
         assert expected == min(local)
         net.reset()
         assert net.merged_pass(source, sinks, n) == expected
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(digraphs(), st.data())
+def test_single_sink_pass_is_a_bounded_max_flow(g, data):
+    # with one sink on a fresh network, the merged pass is a max-flow
+    # stopped at ``limit``; below it, the source's residual-reachable set
+    # is the source side of a cut of that capacity
+    n = g.vertex_count
+    a, b = data.draw(st.permutations(range(n)))[:2]
+    limit = data.draw(st.integers(1, 2 * n))
+    split_arcs = [(2 * v, 2 * v + 1, 1) for v in range(n)]
+    split_arcs += [(2 * u + 1, 2 * v, n) for u, v in g.edges()]
+    for net, nodes, arcs, s, t in (
+            (_vertex_split_network(g), 2 * n, split_arcs, 2 * a + 1, 2 * b),
+            (_edge_network(g), n, [(u, v, 1) for u, v in g.edges()], a, b)):
+        value = net.merged_pass(s, (t,), limit)
+        assert value == min(limit, helpers.edmonds_karp(nodes, arcs, s, t))
+        if value < limit:
+            reach = net.residual_reachable(s)
+            assert t not in reach
+            assert sum(c for u, v, c in arcs if u in reach and v not in reach) == value

@@ -6,7 +6,7 @@ import pytest
 
 from corpus import (HIERARCHICAL_CAYLEY_NAMES, SMALL_NAMES, cayley_spec,
                     cp_instance, instance, q8_spec, Q8_I, Q8_J)
-from cosetkit import (GroupError, build, check_decomposition,
+from cosetkit import (CosetDigraphSpec, GroupError, build, check_decomposition,
                       check_hierarchical_gen, check_hierarchical_gen_c,
                       check_tower, hierarchical_order_search, inverse,
                       is_minimal, oracle_kappa, parse_cycles,
@@ -284,3 +284,11 @@ class TestEdgeConnectivityTheorem:
             report = verify_edge_connectivity(instance(name))
             assert report.consistent, name
             assert report.computed_kappa == instance(name).degree, name
+
+    def test_one_vertex_instance(self):
+        # H = G and no connection set: lambda = d = 0, and the lone vertex
+        # leaves no proper subset, so there is no e-atom to contradict it
+        a, b = parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)
+        cd = build(CosetDigraphSpec(3, (a, b), (a, b), ()))
+        report = verify_edge_connectivity(cd)
+        assert (report.computed_kappa, report.implied_bound, report.consistent) == (0, 0, True)
