@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .coset import CosetDigraph, generation_connectivity, oracle_kappa, transpose_spec
-from .digraph import (DEFAULT_BRUTEFORCE_CAP, DEFAULT_SUBSET_BUDGET, atoms_bruteforce,
-                      neighbor_set)
+from .digraph import DEFAULT_BRUTEFORCE_CAP, atoms_bruteforce, neighbor_set
 from .errors import CapExceeded, CrossCheckError, GroupError
 from .perms import SubgroupHandle
 
@@ -132,8 +131,8 @@ class AtomTheoryReport:
     d_s1: int
 
 
-def verify_atom_theory(cd: CosetDigraph, bruteforce_cap: int = DEFAULT_BRUTEFORCE_CAP,
-                       budget: int = DEFAULT_SUBSET_BUDGET) -> AtomTheoryReport:
+def verify_atom_theory(cd: CosetDigraph,
+                       bruteforce_cap: int = DEFAULT_BRUTEFORCE_CAP) -> AtomTheoryReport:
     """Brute-force the atoms on whichever side satisfies the size
     assumption and check the structure theory against them:
 
@@ -159,7 +158,7 @@ def verify_atom_theory(cd: CosetDigraph, bruteforce_cap: int = DEFAULT_BRUTEFORC
     for k in range(1, limit + 1):
         for side, inst in sides:
             found = atoms_bruteforce(inst.graph, kappa=kappa, cap=bruteforce_cap,
-                                     max_size=k, side=side, budget=budget)
+                                     max_size=k, side=side)
             if found.members:
                 chosen = (side, inst, found)
                 break
@@ -200,11 +199,11 @@ def verify_atom_theory(cd: CosetDigraph, bruteforce_cap: int = DEFAULT_BRUTEFORC
     if len(nbrs) < max(len(base_atom), d_s1):
         raise CrossCheckError("|N(A0)| < max(|A0|, d_S1)")
 
-    s0_set = set(s0)
-    for lbl, edges in inst.edge_class.items():
-        if lbl in s0_set:
+    for lbl in inst.labels:
+        if lbl in s0:
             continue
-        if any(u in base_atom and v in base_atom for u, v in edges):
+        rows = inst.successors(lbl)
+        if any(v in base_atom for u in base_atom for v in rows[u]):
             raise CrossCheckError(f"edge class {lbl!r} induces an edge inside A0")
 
     return AtomTheoryReport(side, kappa, atom_set.size, len(atoms), True,

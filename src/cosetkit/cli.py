@@ -324,20 +324,19 @@ def _dot_quote(text: str) -> str:
 
 
 def export_lines(cd: CosetDigraph, fmt: str) -> list[str]:
-    label_order = {lbl: i for i, lbl in enumerate(cd.labels)}
     if fmt == "dot":
         lines = ["digraph coset {"]
         for i, rep in enumerate(cd.vertices):
             lines.append(f"  v{i} [label={_dot_quote(print_cycles(rep))}];")
         for lbl in cd.labels:
-            for u, v in sorted(cd.edge_class[lbl]):
-                lines.append(f"  v{u} -> v{v} [label={_dot_quote(lbl)}];")
+            for u, row in enumerate(cd.successors(lbl)):
+                lines.extend(f"  v{u} -> v{v} [label={_dot_quote(lbl)}];" for v in row)
         lines.append("}")
         return lines
     if fmt == "edges":
-        triples = sorted((u, v, label_order[lbl])
-                         for lbl in cd.labels for u, v in cd.edge_class[lbl])
-        return [f"{u} {v} {cd.labels[i]}" for u, v, i in triples]
+        rows = [cd.successors(lbl) for lbl in cd.labels]
+        return [f"{u} {v} {cd.labels[i]}" for u in range(len(cd.vertices))
+                for v, i in sorted((v, i) for i, r in enumerate(rows) for v in r[u])]
     raise SpecError(f"unknown export format {fmt!r}; choose dot or edges")
 
 

@@ -51,23 +51,23 @@ class CosetDigraph:
     """A built instance: group data plus the labeled digraph.  Vertex v is
     coset v of H's coset table, with ``vertices[v]`` its canonical
     representative.  The closures <H, S0>, connectivity, stabiliser
-    translations, flow kappa and transpose are cached on first use."""
+    translations, flow kappa and transpose are cached on first use; equal
+    closures share one handle."""
 
     def __init__(self, spec: CosetDigraphSpec, group: GroupContext,
-                 subgroup: SubgroupHandle, vertices: list[Permutation],
-                 graph: Digraph, edge_class: dict[str, frozenset[tuple[int, int]]],
+                 subgroup: SubgroupHandle, vertices: list[Permutation], graph: Digraph,
                  degrees: dict[str, int], connection: dict[str, Permutation]):
         self.spec = spec
         self.group = group
         self.subgroup = subgroup
         self.vertices = tuple(vertices)
         self.graph = graph
-        self.edge_class = edge_class
         self.degrees = degrees
         self.connection = connection           # surviving label -> permutation
         self.base_vertex = self.vertex_of(group.identity)
         self._transpose: CosetDigraph | None = None
         self._closures: dict[frozenset[str], SubgroupHandle] = {}
+        self._subgroups: dict[tuple[int, ...], SubgroupHandle] = {}
         self._connectivity: tuple[bool, SubgroupHandle, list[list[int]]] | None = None
         self._kappa: int | None = None
         self._translations: tuple[tuple[int, ...], ...] | None = None
@@ -90,8 +90,14 @@ class CosetDigraph:
                 raise GroupError(f"unknown connection labels {sorted(unknown)}")
             gens = self.spec.subgroup_generators + tuple(
                 p for lbl, p in self.connection.items() if lbl in key)
-            self._closures[key] = subgroup_generated(self.group, None, gens)
+            sub = subgroup_generated(self.group, None, gens)
+            self._closures[key] = self._subgroups.setdefault(sub.ids, sub)
         return self._closures[key]
+
+    def successors(self, label: str) -> list[list[int]]:
+        """Row u: the out-neighbors of vertex u in the edge class of
+        ``label``, ascending."""
+        return _targets(self.group, self.subgroup, self.connection[label])
 
     def vertex_of(self, g: Permutation) -> int:
         """Vertex index of the coset gH."""
@@ -129,6 +135,15 @@ def dedupe_generators(H: SubgroupHandle, perms) -> list[Permutation]:
     return survivors
 
 
+def _targets(group: GroupContext, subgroup: SubgroupHandle,
+             s: Permutation) -> list[list[int]]:
+    """Row u: the cosets of x*s over x in coset u of ``subgroup``, ascending;
+    the out-neighbors of vertex u under s."""
+    right_s, table = group.right(s), subgroup.cosets()
+    coset_of = table.coset_of
+    return [sorted({coset_of[right_s[x]] for x in coset}) for coset in table.members]
+
+
 def build(spec: CosetDigraphSpec) -> CosetDigraph:
     group = enumerate_closure(spec.degree, spec.group_generators, spec.enumeration_cap)
     subgroup = subgroup_generated(group, trivial_subgroup(group),
@@ -153,28 +168,20 @@ def _build_on(spec: CosetDigraphSpec, group: GroupContext,
 
     degrees = {lbl: double_coset_index(subgroup, p) for lbl, p in connection.items()}
 
-    table = subgroup.cosets()
-    coset_of = table.coset_of
-    edge_class: dict[str, frozenset[tuple[int, int]]] = {}
-    adjacency: list[set[int]] = [set() for _ in table.members]
+    adjacency: list[set[int]] = [set() for _ in subgroup.cosets().members]
     for lbl, s in connection.items():
-        right_s = group.right(s)
-        edges = []
-        for u, coset in enumerate(table.members):
-            targets = {coset_of[right_s[x]] for x in coset}
+        for u, targets in enumerate(_targets(group, subgroup, s)):
             if len(targets) != degrees[lbl]:
                 raise CrossCheckError(
                     f"vertex {u} has {len(targets)} out-edges for {lbl!r}, "
                     f"expected d_s = {degrees[lbl]}")
-            if adjacency[u] & targets:
+            if not adjacency[u].isdisjoint(targets):
                 raise CrossCheckError(f"edge classes overlap at vertex {u}")
             adjacency[u].update(targets)
-            edges.extend((u, t) for t in sorted(targets))
-        edge_class[lbl] = frozenset(edges)
 
     graph = Digraph([sorted(row) for row in adjacency])
     return CosetDigraph(spec, group, subgroup, left_coset_reps(group, subgroup), graph,
-                        edge_class, degrees, connection)
+                        degrees, connection)
 
 
 def generation_connectivity(cd: CosetDigraph):
@@ -233,8 +240,9 @@ def verify_automorphism(cd: CosetDigraph, g: Permutation) -> bool:
     phi = cd.left_translation(cd.group.id_of(g))
     if len(set(phi)) != len(phi):
         return False
-    for edges in cd.edge_class.values():
-        if {(phi[u], phi[v]) for u, v in edges} != edges:
+    for lbl in cd.labels:
+        rows = cd.successors(lbl)
+        if any(sorted(phi[v] for v in row) != rows[phi[u]] for u, row in enumerate(rows)):
             return False
     return True
 

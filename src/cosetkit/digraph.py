@@ -24,7 +24,7 @@ class Digraph:
     """Immutable digraph on vertices 0..n-1; no loops, no parallel edges.
     Its strongly connected components are computed once, on first use."""
 
-    __slots__ = ("adj", "adj_sets", "_scc")
+    __slots__ = ("adj", "_scc")
 
     def __init__(self, adjacency: Sequence[Sequence[int]]):
         n = len(adjacency)
@@ -40,7 +40,6 @@ class Digraph:
                     raise ValueError(f"self-loop at vertex {u}")
             adj.append(row)
         self.adj = tuple(adj)
-        self.adj_sets = tuple(frozenset(row) for row in adj)
         self._scc: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -57,7 +56,7 @@ class Digraph:
         return sum(len(row) for row in self.adj)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj_sets[u]
+        return v in self.adj[u]
 
     def strong_components(self) -> tuple[tuple[int, ...], ...]:
         """``strongly_connected_components`` of this digraph, cached."""
@@ -167,7 +166,7 @@ def neighbor_set(g: Digraph, vertices: Iterable[int]) -> tuple[frozenset[int], b
     a = frozenset(vertices)
     nbrs: set[int] = set()
     for v in a:
-        nbrs.update(g.adj_sets[v])
+        nbrs.update(g.adj[v])
     nbrs -= a
     return frozenset(nbrs), len(a) + len(nbrs) < g.vertex_count
 
@@ -302,7 +301,7 @@ def _orbit_minima(g: Digraph, base: int,
             raise CrossCheckError("a symmetry is not a permutation of the vertices")
         if phi[base] != base:
             raise CrossCheckError(f"a symmetry moves the base vertex {base}")
-        if any({phi[v] for v in g.adj[u]} != g.adj_sets[phi[u]] for u in range(n)):
+        if any({phi[v] for v in g.adj[u]} != set(g.adj[phi[u]]) for u in range(n)):
             raise CrossCheckError("a symmetry is not an automorphism of the digraph")
         for u in range(n):
             a, b = find(u), find(phi[u])
@@ -426,13 +425,13 @@ def atoms_bruteforce(g: Digraph, kappa: int,
     n = g.vertex_count
     if n > cap:
         raise CapExceeded(f"digraph has {n} vertices, brute-force cap is {cap}")
-    adj_sets = g.adj_sets
+    adj = g.adj
     limit = n - kappa - 1 if max_size is None else min(max_size, n - kappa - 1)
 
     def accept(combo: tuple[int, ...]) -> bool:
         nbrs: set[int] = set()
         for v in combo:
-            nbrs.update(adj_sets[v])
+            nbrs.update(adj[v])
         nbrs.difference_update(combo)
         return len(nbrs) == kappa and len(combo) + kappa < n
 
@@ -447,20 +446,20 @@ def e_atoms_bruteforce(g: Digraph, lam: int,
                        side: str = "forward",
                        budget: int = DEFAULT_SUBSET_BUDGET) -> AtomSet:
     """All minimum-cardinality proper nonempty subsets with exactly lambda
-    outgoing edges."""
+    outgoing edges; none on one vertex, which has no such subset."""
     _require_strongly_connected(g)
     n = g.vertex_count
     if n > cap:
         raise CapExceeded(f"digraph has {n} vertices, brute-force cap is {cap}")
-    adj_sets = g.adj_sets
+    adj = g.adj
 
     def accept(combo: tuple[int, ...]) -> bool:
         inside = set(combo)
-        out_edges = sum(len(adj_sets[v] - inside) for v in combo)
+        out_edges = sum(w not in inside for v in combo for w in adj[v])
         return out_edges == lam
 
     members, _ = _scan_minimum_subsets(g, accept, n - 1, budget)
-    if not members:
+    if not members and n > 1:
         raise CrossCheckError("no e-atom found in a strongly connected digraph")
     return AtomSet("e-atom", side, members, lam)
 
@@ -468,4 +467,4 @@ def e_atoms_bruteforce(g: Digraph, lam: int,
 def out_edge_count(g: Digraph, vertices: Iterable[int]) -> int:
     """Number of edges leaving the vertex set."""
     inside = set(vertices)
-    return sum(len(g.adj_sets[v] - inside) for v in inside)
+    return sum(w not in inside for v in inside for w in g.adj[v])

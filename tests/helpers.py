@@ -92,7 +92,8 @@ def assert_matches_object_path(cd) -> None:
     assert tuple(p.image for p in cd.vertices) == want.reps
     assert cd.base_vertex == want.base_vertex
     assert cd.degrees == want.degrees
-    assert cd.edge_class == want.edge_class
+    assert {lbl: frozenset((u, v) for u, row in enumerate(cd.successors(lbl)) for v in row)
+            for lbl in cd.labels} == want.edge_class
 
 
 def reachable(adj, start: int) -> set[int]:
@@ -230,7 +231,7 @@ def atoms_fullscan_oracle(g, kappa: int) -> set[frozenset[int]]:
         members = [v for v in range(n) if mask >> v & 1]
         nbrs = set()
         for v in members:
-            nbrs.update(g.adj_sets[v])
+            nbrs.update(g.adj[v])
         nbrs.difference_update(members)
         if len(nbrs) != kappa or len(members) + len(nbrs) >= n:
             continue

@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, schemas, determinism."""
 
+import hashlib
 import json
 from collections import Counter
 
@@ -306,6 +307,22 @@ class TestExport:
         code, out, _ = run(capsys, "export", path, "--format", "edges")
         assert code == 0
         assert out.splitlines() == ["0 1 s", "1 2 s", "2 3 s", "3 0 s"]
+
+    # sha256 of the full output on CP(4,2): 12 vertices and 36 edges, in
+    # label order then by (u, v) for dot, and by (u, v) for edges
+    @pytest.mark.parametrize("fmt, lines, first_edge, digest", [
+        ("dot", 50, '  v0 -> v1 [label="γ(2)"];',
+         "f1fa494870c63dac6d60de912f69c53c99fef8467f3c5a903d05685cb2f0768f"),
+        ("edges", 36, "0 1 γ(2)",
+         "0d70f1a6f2b4544248cf9f6b2abb1dcbc9d139ede8ff162b7d8f8d7f17af2b9e"),
+    ], ids=("dot", "edges"))
+    def test_cp42_golden_bytes(self, tmp_path, capsys, fmt, lines, first_edge, digest):
+        path = write_spec(tmp_path, CP42_SPEC)
+        code, out, _ = run(capsys, "export", path, "--format", fmt)
+        assert code == 0
+        assert len(out.splitlines()) == lines
+        assert first_edge in out.splitlines()
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_identical_bytes(self, tmp_path, capsys):
         path = write_spec(tmp_path, CP42_SPEC)

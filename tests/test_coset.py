@@ -94,7 +94,7 @@ class TestBuild:
             cd = instance(name)
             for lbl, s in cd.connection.items():
                 hsh = double_coset(cd.subgroup, s)
-                edges = cd.edge_class[lbl]
+                edges = {(u, v) for u, row in enumerate(cd.successors(lbl)) for v in row}
                 for u in range(len(cd.vertices)):
                     for v in range(len(cd.vertices)):
                         quotient = compose(inverse(cd.vertices[u]), cd.vertices[v])
@@ -104,7 +104,8 @@ class TestBuild:
         for name in SMALL_NAMES:
             cd = instance(name)
             union = set()
-            for edges in cd.edge_class.values():
+            for lbl in cd.labels:
+                edges = {(u, v) for u, row in enumerate(cd.successors(lbl)) for v in row}
                 assert not (union & edges), name
                 union |= edges
             assert union == set(cd.graph.edges()), name
@@ -254,6 +255,21 @@ class TestClosure:
                                             [cd.connection[lbl] for lbl in chosen])
                 assert cd.closure(chosen) == seeded
                 assert cd.closure(reversed(chosen)) is cd.closure(chosen)
+
+    @pytest.mark.parametrize("name", ("cp_5_2", "s4_mixed"))
+    def test_equal_closures_share_one_handle(self, name):
+        cd = instance(name)
+        label_sets = [chosen for r in range(len(cd.labels) + 1)
+                      for chosen in combinations(cd.labels, r)]
+        whole = generation_connectivity(cd)[1]
+        generating = [c for c in label_sets if len(cd.closure(c)) == len(cd.group)]
+        assert len(generating) >= 2, name
+        assert all(cd.closure(c) is whole for c in generating), name
+        by_ids = {}
+        for chosen in label_sets:
+            sub = by_ids.setdefault(cd.closure(chosen).ids, cd.closure(chosen))
+            assert cd.closure(chosen) is sub, (name, chosen)
+        assert len(by_ids) < len(label_sets), name
 
     def test_unknown_label_rejected(self):
         with pytest.raises(GroupError):

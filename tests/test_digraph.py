@@ -435,6 +435,13 @@ class TestEAtoms:
         assert all(len(a) == 1 for a in eatoms.members)
         assert len(eatoms.members) == 4
 
+    def test_one_vertex_has_no_e_atoms(self):
+        # no proper nonempty subset, matching edge_connectivity's (0, None)
+        g = Digraph([[]])
+        assert edge_connectivity(g, 0) == (0, None)
+        eatoms = e_atoms_bruteforce(g, lam=0)
+        assert eatoms.members == () and eatoms.size is None
+
     def test_matches_fullscan_on_random(self):
         rng = random.Random(53)
         for _ in range(8):
