@@ -1,12 +1,13 @@
 """Subgroup-structured atom analysis.
 
 The atom containing the base vertex of a connected Cayley coset digraph is
-the coset set of a subgroup <H, S0> for some subset S0 of the connection
-set, so vertex connectivity can be computed group-theoretically by scanning
-all 2^|S| subgroup candidates on the digraph and on its transpose, and
-taking the minimum neighbor count over the candidates that are parts
-(together with the degree).  The scan is cross-checked candidate by
-candidate against the digraph's neighbor sets, and the resulting kappa is
+the coset set of a subgroup K = <H, S0> for some subset S0 of the
+connection set (Hamidoune 1977), so vertex connectivity can be computed
+group-theoretically by scanning all 2^|S| subgroup candidates on the
+digraph and on its transpose, and taking the minimum neighbor count over
+the candidates that are parts (together with the degree), each an orbit
+of K acting on G/H by left translation.  The scan is cross-checked
+candidate by candidate against the digraph's neighbor sets, and kappa is
 validated against the flow oracle wherever the oracle runs.
 """
 
@@ -15,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .coset import CosetDigraph, generation_connectivity, oracle_kappa, transpose_spec
-from .digraph import DEFAULT_BRUTEFORCE_CAP, atoms_bruteforce, neighbor_set
+from .coset import (CosetDigraph, generation_connectivity, oracle_kappa,
+                    stabiliser_translations)
+from .digraph import DEFAULT_BRUTEFORCE_CAP, atoms_bruteforce, neighbor_set, transpose
 from .errors import CapExceeded, CrossCheckError, GroupError
-from .perms import SubgroupHandle
+from .perms import inverse
 
 MAX_SCAN_GENERATORS = 12
 
@@ -27,7 +29,6 @@ MAX_SCAN_GENERATORS = 12
 class AtomCandidate:
     """A candidate atom <H, S0>/H with its group-theoretic neighbor count."""
     labels: tuple[str, ...]
-    subgroup: SubgroupHandle
     vertex_set: tuple[int, ...]
     is_part: bool
     neighbor_count: int
@@ -42,40 +43,56 @@ class AtomAnalysis:
     side: str                                   # "forward" | "transpose"
     kappa_group: int                            # combined over both sides
     winning_candidates: tuple[AtomCandidate, ...]
-    size_assumption_ok: bool
     oracle_kappa: int | None
 
 
-def subgroup_atom_scan(cd: CosetDigraph) -> list[AtomCandidate]:
-    """One candidate per S0 with <H, S0> a proper subgroup of G.
+def _orbit(moves, seeds) -> set[int]:
+    """The union of the orbits of ``seeds`` under the group generated by
+    the vertex permutations ``moves``."""
+    found, queue = set(seeds), list(seeds)
+    for v in queue:
+        for phi in moves:
+            w = phi[v]
+            if w not in found:
+                found.add(w)
+                queue.append(w)
+    return found
 
-    The neighbor count is |(U A) S1 H / H| minus the candidate's own
-    cosets, computed group-theoretically and cross-checked against the
-    digraph's neighbor set.
-    """
+
+def subgroup_atom_scan(cd: CosetDigraph, side: str = "forward") -> list[AtomCandidate]:
+    """One candidate per S0 with K = <H, S0> a proper subgroup of G, on
+    the digraph or on its transpose (labels suffixed "^-1").  The candidate
+    A is the K-orbit of the base vertex; its neighbors are the K-orbits of
+    sH (s^-1 H on the transpose), s in S - S0, minus A, cross-checked
+    against the digraph.  Supersets of a generating S0 are skipped."""
     labels = cd.labels
     if len(labels) > MAX_SCAN_GENERATORS:
         raise CapExceeded(f"connection set has {len(labels)} generators, above "
                           f"the scan cap MAX_SCAN_GENERATORS = {MAX_SCAN_GENERATORS}",
                           count=len(labels))
-    coset_of = cd.subgroup.cosets().coset_of
+    suffix = {"forward": "", "transpose": "^-1"}[side]
+    graph = transpose(cd.graph) if suffix else cd.graph
+    moves = [cd.left_translation(cd.group.id_of(s)) for s in cd.connection.values()]
+    heads = [cd.vertex_of(inverse(s) if suffix else s) for s in cd.connection.values()]
+    spanning: list[set[int]] = []       # the S0 with <H, S0> = G
     candidates = []
     for r in range(len(labels)):
-        for chosen in combinations(labels, r):
-            sub = cd.closure(chosen)
-            if len(sub) == len(cd.group):
+        for chosen in combinations(range(len(labels)), r):
+            if any(sp.issubset(chosen) for sp in spanning):
                 continue
-            vertex_set = sorted({coset_of[x] for x in sub.ids})
-            inside = set(vertex_set)
-            s1 = [cd.group.right(cd.connection[lbl]) for lbl in labels if lbl not in chosen]
-            reached = {coset_of[right_s[x]] for right_s in s1 for x in sub.ids}
-            reached -= inside
-            digraph_nbrs, is_part = neighbor_set(cd.graph, vertex_set)
+            k_moves = [*stabiliser_translations(cd), *(moves[i] for i in chosen)]
+            inside = _orbit(k_moves, [cd.base_vertex])
+            if len(inside) == len(cd.vertices):
+                spanning.append(set(chosen))
+                continue
+            reached = _orbit(k_moves, {heads[i] for i in range(len(labels))
+                                       if i not in chosen} - inside)
+            names = tuple(labels[i] + suffix for i in chosen)
+            digraph_nbrs, is_part = neighbor_set(graph, inside)
             if reached != digraph_nbrs:
                 raise CrossCheckError(
-                    f"group-side neighbors of <H,{chosen}> disagree with the digraph")
-            candidates.append(AtomCandidate(chosen, sub, tuple(vertex_set),
-                                            is_part, len(reached)))
+                    f"group-side neighbors of <H,{names}> disagree with the digraph")
+            candidates.append(AtomCandidate(names, tuple(sorted(inside)), is_part, len(reached)))
     return candidates
 
 
@@ -99,9 +116,8 @@ def kappa_group_theoretic(cd: CosetDigraph,
     connected, _, _ = generation_connectivity(cd)
     if not connected:
         raise GroupError("digraph is disconnected; kappa is undefined")
-    n = cd.graph.vertex_count
     forward = subgroup_atom_scan(cd)
-    backward = subgroup_atom_scan(transpose_spec(cd))
+    backward = subgroup_atom_scan(cd, "transpose")
     kappa = cd.degree
     for cand in (*forward, *backward):
         if cand.is_part and cand.neighbor_count < kappa:
@@ -112,8 +128,7 @@ def kappa_group_theoretic(cd: CosetDigraph,
 
     def analysis(side: str, cands: list[AtomCandidate]) -> AtomAnalysis:
         winners = tuple(c for c in cands if c.is_part and c.neighbor_count == kappa)
-        ok = any(2 * c.size <= n - kappa for c in winners)
-        return AtomAnalysis(side, kappa, winners, ok, oracle_kappa)
+        return AtomAnalysis(side, kappa, winners, oracle_kappa)
 
     return analysis("forward", forward), analysis("transpose", backward)
 
@@ -140,6 +155,7 @@ def verify_atom_theory(cd: CosetDigraph,
     translate of <H, S0>/H where S0 is the generator split of the atom
     containing the base vertex, (c) |N(A0)| is a multiple of |A0| and
     (d) |N(A0)| >= max(|A0|, d_S1); the edges induced on A0 use only S0.
+    Both sides read S0 and E_s from cd, as <H, S0^-1> = <H, S0>.
 
     Atoms of size at most (n - kappa)/2 must exist on at least one side;
     both sides failing would falsify the size lemma and raises.
@@ -152,22 +168,22 @@ def verify_atom_theory(cd: CosetDigraph,
         raise GroupError("complete digraph: no atoms to verify")
     kappa = oracle_kappa(cd)
     limit = (n - kappa) // 2
-    sides = (("forward", cd), ("transpose", transpose_spec(cd)))
+    sides = (("forward", cd.graph), ("transpose", transpose(cd.graph)))
 
     chosen = None
     for k in range(1, limit + 1):
-        for side, inst in sides:
-            found = atoms_bruteforce(inst.graph, kappa=kappa, cap=bruteforce_cap,
+        for side, graph in sides:
+            found = atoms_bruteforce(graph, kappa=kappa, cap=bruteforce_cap,
                                      max_size=k, side=side)
             if found.members:
-                chosen = (side, inst, found)
+                chosen = (side, graph, found)
                 break
         if chosen:
             break
     if chosen is None:
         raise CrossCheckError(
             f"no atom of size <= (n-kappa)/2 = {limit} on either side")
-    side, inst, atom_set = chosen
+    side, graph, atom_set = chosen
 
     atoms = atom_set.members
     covered: set[int] = set()
@@ -178,33 +194,33 @@ def verify_atom_theory(cd: CosetDigraph,
     if covered != set(range(n)):
         raise CrossCheckError("atoms do not cover the vertex set")
 
-    base_atom = next(a for a in atoms if inst.base_vertex in a)
-    union = inst.union_of_cosets(base_atom)
-    s0 = tuple(lbl for lbl, p in inst.connection.items() if inst.group.id_of(p) in union)
-    if inst.closure(s0).id_set != union:
-        raise CrossCheckError("union of the base atom is not <H, S0>")
+    base_atom = next(a for a in atoms if cd.base_vertex in a)
+    s0 = tuple(lbl for lbl, p in cd.connection.items() if cd.vertex_of(p) in base_atom)
+    table = cd.subgroup.cosets()
+    if {table.coset_of[x] for x in cd.closure(s0).ids} != base_atom:
+        raise CrossCheckError("the cosets of <H, S0> are not the base atom")
 
     base_sorted = sorted(base_atom)
-    rep_ids = inst.subgroup.cosets().rep_ids
     for a in atoms:
-        phi = inst.left_translation(rep_ids[min(a)])
+        phi = cd.left_translation(table.rep_ids[min(a)])
         translate = {phi[v] for v in base_sorted}
         if translate != a:
             raise CrossCheckError("an atom is not a coset translate of the base atom")
 
-    nbrs, _ = neighbor_set(inst.graph, base_atom)
-    d_s1 = sum(d for lbl, d in inst.degrees.items() if lbl not in s0)
+    nbrs, _ = neighbor_set(graph, base_atom)
+    d_s1 = sum(d for lbl, d in cd.degrees.items() if lbl not in s0)
     if len(nbrs) % len(base_atom) != 0:
         raise CrossCheckError("|N(A0)| is not a multiple of |A0|")
     if len(nbrs) < max(len(base_atom), d_s1):
         raise CrossCheckError("|N(A0)| < max(|A0|, d_S1)")
 
-    for lbl in inst.labels:
+    for lbl in cd.labels:
         if lbl in s0:
             continue
-        rows = inst.successors(lbl)
+        rows = cd.successors(lbl)
         if any(v in base_atom for u in base_atom for v in rows[u]):
             raise CrossCheckError(f"edge class {lbl!r} induces an edge inside A0")
 
-    return AtomTheoryReport(side, kappa, atom_set.size, len(atoms), True,
-                            tuple(base_sorted), s0, len(nbrs), d_s1)
+    suffix = "^-1" if side == "transpose" else ""
+    return AtomTheoryReport(side, kappa, atom_set.size, len(atoms), True, tuple(base_sorted),
+                            tuple(lbl + suffix for lbl in s0), len(nbrs), d_s1)

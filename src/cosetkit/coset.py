@@ -51,8 +51,8 @@ class CosetDigraph:
     """A built instance: group data plus the labeled digraph.  Vertex v is
     coset v of H's coset table, with ``vertices[v]`` its canonical
     representative.  The closures <H, S0>, connectivity, stabiliser
-    translations, flow kappa and transpose are cached on first use; equal
-    closures share one handle."""
+    translations and flow kappa are cached on first use; equal closures
+    share one handle."""
 
     def __init__(self, spec: CosetDigraphSpec, group: GroupContext,
                  subgroup: SubgroupHandle, vertices: list[Permutation], graph: Digraph,
@@ -65,7 +65,6 @@ class CosetDigraph:
         self.degrees = degrees
         self.connection = connection           # surviving label -> permutation
         self.base_vertex = self.vertex_of(group.identity)
-        self._transpose: CosetDigraph | None = None
         self._closures: dict[frozenset[str], SubgroupHandle] = {}
         self._subgroups: dict[tuple[int, ...], SubgroupHandle] = {}
         self._connectivity: tuple[bool, SubgroupHandle, list[list[int]]] | None = None
@@ -108,11 +107,6 @@ class CosetDigraph:
         permutation."""
         table, product = self.subgroup.cosets(), self.group.product_id
         return [table.coset_of[product(g, rep)] for rep in table.rep_ids]
-
-    def union_of_cosets(self, vertices) -> frozenset[int]:
-        """Ids of the elements of G in the cosets ``vertices``."""
-        members = self.subgroup.cosets().members
-        return frozenset(i for v in vertices for i in members[v])
 
     def __repr__(self) -> str:
         return (f"<coset digraph |G|={len(self.group)} |H|={len(self.subgroup)} "
@@ -251,17 +245,12 @@ def transpose_spec(cd: CosetDigraph) -> CosetDigraph:
     """Build the transpose instance, generated by the inverses of the
     connection set, on cd's G and H; its edges come from the right tables
     of the inverses themselves, so its digraph equalling the edge-reversal
-    of cd's is a real check."""
-    if cd._transpose is not None:
-        return cd._transpose
+    of cd's is a real check.  A test reference: the library never calls it."""
     inverted = tuple((lbl + "^-1", inverse(p)) for lbl, p in cd.connection.items())
     spec = CosetDigraphSpec(cd.spec.degree, cd.spec.group_generators,
                             cd.spec.subgroup_generators, inverted,
                             cd.spec.enumeration_cap)
     built = _build_on(spec, cd.group, cd.subgroup)
-    reversed_graph = transpose(cd.graph)
-    if built.graph != reversed_graph:
+    if built.graph != transpose(cd.graph):
         raise CrossCheckError("transpose instance does not equal the reversed digraph")
-    built.graph = reversed_graph        # equal, and shares cd's components
-    cd._transpose = built
     return built

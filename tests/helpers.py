@@ -6,13 +6,18 @@ from canonical representatives taken as minima over gH, Edmonds-Karp
 max-flow over dict-based residual graphs, and a full 2^n subset scan for
 atoms.  The per-sink flow sweep runs the package's merged pass with one
 sink at a time, a plain max-flow, as the reference for the merged-source
-pass over all sinks that replaced it.
+pass over all sinks that replaced it.  The closure scan computes each
+subgroup candidate <H, S0> as a subgroup of G, as the reference for the
+scan over vertex orbits that replaced it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
+
+from cosetkit import AtomCandidate, inverse, subgroup_atom_scan, transpose_spec
 
 
 def apply_then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -94,6 +99,38 @@ def assert_matches_object_path(cd) -> None:
     assert cd.degrees == want.degrees
     assert {lbl: frozenset((u, v) for u, row in enumerate(cd.successors(lbl)) for v in row)
             for lbl in cd.labels} == want.edge_class
+
+
+def closure_scan_oracle(cd, side: str = "forward") -> list:
+    """The subgroup atom scan by closures in G, unpruned: one candidate per
+    S0 with K = <H, S0> a proper subgroup, whose vertex set is the cosets
+    of K and whose neighbors are the cosets of x*s (x*s^-1 on the
+    transpose) over x in K and s outside S0, minus the candidate; a part
+    when the two together miss a vertex."""
+    coset_of = cd.subgroup.cosets().coset_of
+    suffix = "^-1" if side == "transpose" else ""
+    candidates = []
+    for r in range(len(cd.labels)):
+        for chosen in combinations(cd.labels, r):
+            sub = cd.closure(chosen)
+            if len(sub) == len(cd.group):
+                continue
+            inside = {coset_of[x] for x in sub.ids}
+            tables = [cd.group.right(inverse(s) if suffix else s)
+                      for lbl, s in cd.connection.items() if lbl not in chosen]
+            reached = {coset_of[t[x]] for t in tables for x in sub.ids} - inside
+            candidates.append(AtomCandidate(
+                tuple(lbl + suffix for lbl in chosen), tuple(sorted(inside)),
+                len(inside) + len(reached) < len(cd.vertices), len(reached)))
+    return candidates
+
+
+def assert_scan_matches_closure_scan(cd) -> None:
+    """Both sides of ``subgroup_atom_scan`` equal the closure scan, and its
+    transpose side equals the forward scan of the transpose instance."""
+    for side in ("forward", "transpose"):
+        assert subgroup_atom_scan(cd, side) == closure_scan_oracle(cd, side), side
+    assert subgroup_atom_scan(cd, "transpose") == subgroup_atom_scan(transpose_spec(cd))
 
 
 def reachable(adj, start: int) -> set[int]:

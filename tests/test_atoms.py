@@ -1,13 +1,18 @@
 """Subgroup atom scan, group-theoretic kappa, and the atom structure lemmas."""
 
+import sys
+from collections import Counter
+
 import pytest
 
-from corpus import CORPUS_NAMES, SMALL_NAMES, instance, z6_disconnected_spec
-from cosetkit import (CapExceeded, CosetDigraphSpec, GroupError,
+import helpers
+from corpus import CORPUS_NAMES, CORPUS_SPECS, SMALL_NAMES, instance, z6_disconnected_spec
+from cosetkit import (CapExceeded, CosetDigraphSpec, CrossCheckError, GroupError,
                       base_atom_candidate, build, enumerate_closure,
-                      kappa_group_theoretic, neighbor_set, parse_cycles,
-                      subgroup_atom_scan, transpose_spec,
+                      generation_connectivity, kappa_group_theoretic, neighbor_set,
+                      parse_cycles, subgroup_atom_scan, transpose_spec,
                       vertex_connectivity_transitive, verify_atom_theory)
+from cosetkit import atoms, coset, perms
 
 
 class TestSubgroupScan:
@@ -64,6 +69,21 @@ class TestSubgroupScan:
                 assert cand.neighbor_count == len(nbrs), name
                 assert cand.is_part == is_part, name
 
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_equals_closure_scan(self, name):
+        helpers.assert_scan_matches_closure_scan(instance(name))
+
+    @pytest.mark.parametrize("name", ["s4_mixed", "cp_4_2", "d5"])
+    def test_forward_heads_in_place_of_inverse_ones_raise(self, name, monkeypatch):
+        cd = build(CORPUS_SPECS[name]())
+        monkeypatch.setattr(atoms, "inverse", lambda p: p)
+        with pytest.raises(CrossCheckError, match="disagree with the digraph"):
+            subgroup_atom_scan(cd, "transpose")
+
+    def test_unknown_side_rejected(self):
+        with pytest.raises(KeyError, match="backward"):
+            subgroup_atom_scan(instance("z6"), "backward")
+
     def test_neighbor_count_multiple_of_candidate_size(self):
         # the neighbor set of a subgroup candidate is a union of right
         # cosets of that subgroup, so its size is a multiple of |A|
@@ -109,6 +129,32 @@ class TestKappaGroupTheoretic:
             forward, _ = kappa_group_theoretic(cd, oracle_kappa=oracle)
             assert forward.kappa_group == oracle, name
             assert forward.oracle_kappa == oracle, name
+
+    def test_no_closure_and_no_transpose_instance(self, monkeypatch):
+        # after the connectivity stage that analyze runs first, the scan
+        # on both sides needs no subgroup of G and no second instance
+        cd = build(CORPUS_SPECS["cp_5_2"]())
+        generation_connectivity(cd)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        originals = {"subgroup_generated": perms.subgroup_generated,
+                     "transpose_spec": coset.transpose_spec, "_build_on": coset._build_on}
+        for key, module in list(sys.modules.items()):
+            if key == "cosetkit" or key.startswith("cosetkit."):
+                for name, fn in originals.items():
+                    if getattr(module, name, None) is fn:
+                        monkeypatch.setattr(module, name, counted(name, fn))
+        forward, _ = kappa_group_theoretic(cd)
+        assert forward.kappa_group == cd.degree
+        assert calls == Counter()
+        coset.transpose_spec(cd)        # the counters do count
+        assert calls["transpose_spec"] == calls["_build_on"] == 1
 
     def test_atom_size_below_degree(self):
         # atoms are strictly smaller than the degree whenever d > 1

@@ -5,7 +5,8 @@ or S_5.  On a connected draw, the flow κ, with and without the stabiliser
 translations the CLI passes, must equal both Even's Edmonds-Karp oracle
 and the subgroup scan, λ (both ways) must equal its oracle and the degree,
 and each certificate must separate its pair.  On every draw, the built
-instance and its transpose must equal the min-over-gH object path.
+instance and its transpose must equal the min-over-gH object path, and the
+subgroup scan over vertex orbits must equal the closure scan on both sides.
 
 Separately, on random digraphs with 3 to 10 vertices (mostly neither
 vertex-transitive nor strongly connected), the merged-source flow pass from
@@ -91,6 +92,12 @@ def test_build_matches_object_path_oracle(spec):
     cd = build(spec)
     helpers.assert_matches_object_path(cd)
     helpers.assert_matches_object_path(transpose_spec(cd))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(coset_specs())
+def test_orbit_scan_equals_closure_scan(spec):
+    helpers.assert_scan_matches_closure_scan(build(spec))
 
 
 @st.composite
