@@ -59,23 +59,24 @@ def _orbit(moves, seeds) -> set[int]:
     return found
 
 
-def subgroup_atom_scan(cd: CosetDigraph, side: str = "forward") -> list[AtomCandidate]:
-    """One candidate per S0 with K = <H, S0> a proper subgroup of G, on
-    the digraph or on its transpose (labels suffixed "^-1").  The candidate
-    A is the K-orbit of the base vertex; its neighbors are the K-orbits of
-    sH (s^-1 H on the transpose), s in S - S0, minus A, cross-checked
-    against the digraph.  Supersets of a generating S0 are skipped."""
+def subgroup_atom_scan(cd: CosetDigraph) -> tuple[list[AtomCandidate], list[AtomCandidate]]:
+    """The (forward, transpose) candidates, one each per S0 with K = <H, S0>
+    a proper subgroup of G (transpose labels suffixed "^-1").  Both share A,
+    the K-orbit of the base vertex, as <H, S0^-1> = <H, S0>; its neighbors
+    are the K-orbits of sH (s^-1 H on the transpose), s in S - S0, minus A,
+    cross-checked against the digraph or its reversal.  Supersets of a
+    generating S0 are skipped."""
     labels = cd.labels
     if len(labels) > MAX_SCAN_GENERATORS:
         raise CapExceeded(f"connection set has {len(labels)} generators, above "
                           f"the scan cap MAX_SCAN_GENERATORS = {MAX_SCAN_GENERATORS}",
                           count=len(labels))
-    suffix = {"forward": "", "transpose": "^-1"}[side]
-    graph = transpose(cd.graph) if suffix else cd.graph
-    moves = [cd.left_translation(cd.group.id_of(s)) for s in cd.connection.values()]
-    heads = [cd.vertex_of(inverse(s) if suffix else s) for s in cd.connection.values()]
+    gens = list(cd.connection.values())
+    moves = [cd.left_translation(cd.group.id_of(s)) for s in gens]
+    forward, backward = [], []
+    sides = ((cd.graph, "", [cd.vertex_of(s) for s in gens], forward),
+             (transpose(cd.graph), "^-1", [cd.vertex_of(inverse(s)) for s in gens], backward))
     spanning: list[set[int]] = []       # the S0 with <H, S0> = G
-    candidates = []
     for r in range(len(labels)):
         for chosen in combinations(range(len(labels)), r):
             if any(sp.issubset(chosen) for sp in spanning):
@@ -85,15 +86,17 @@ def subgroup_atom_scan(cd: CosetDigraph, side: str = "forward") -> list[AtomCand
             if len(inside) == len(cd.vertices):
                 spanning.append(set(chosen))
                 continue
-            reached = _orbit(k_moves, {heads[i] for i in range(len(labels))
-                                       if i not in chosen} - inside)
-            names = tuple(labels[i] + suffix for i in chosen)
-            digraph_nbrs, is_part = neighbor_set(graph, inside)
-            if reached != digraph_nbrs:
-                raise CrossCheckError(
-                    f"group-side neighbors of <H,{names}> disagree with the digraph")
-            candidates.append(AtomCandidate(names, tuple(sorted(inside)), is_part, len(reached)))
-    return candidates
+            for graph, suffix, heads, candidates in sides:
+                reached = _orbit(k_moves, {heads[i] for i in range(len(labels))
+                                           if i not in chosen} - inside)
+                names = tuple(labels[i] + suffix for i in chosen)
+                digraph_nbrs, is_part = neighbor_set(graph, inside)
+                if reached != digraph_nbrs:
+                    raise CrossCheckError(
+                        f"group-side neighbors of <H,{names}> disagree with the digraph")
+                candidates.append(AtomCandidate(names, tuple(sorted(inside)), is_part,
+                                                len(reached)))
+    return forward, backward
 
 
 def base_atom_candidate(analysis: AtomAnalysis) -> AtomCandidate | None:
@@ -116,8 +119,7 @@ def kappa_group_theoretic(cd: CosetDigraph,
     connected, _, _ = generation_connectivity(cd)
     if not connected:
         raise GroupError("digraph is disconnected; kappa is undefined")
-    forward = subgroup_atom_scan(cd)
-    backward = subgroup_atom_scan(cd, "transpose")
+    forward, backward = subgroup_atom_scan(cd)
     kappa = cd.degree
     for cand in (*forward, *backward):
         if cand.is_part and cand.neighbor_count < kappa:
@@ -173,8 +175,7 @@ def verify_atom_theory(cd: CosetDigraph,
     chosen = None
     for k in range(1, limit + 1):
         for side, graph in sides:
-            found = atoms_bruteforce(graph, kappa=kappa, cap=bruteforce_cap,
-                                     max_size=k, side=side)
+            found = atoms_bruteforce(graph, kappa=kappa, cap=bruteforce_cap, max_size=k)
             if found.members:
                 chosen = (side, graph, found)
                 break

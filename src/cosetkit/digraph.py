@@ -91,10 +91,7 @@ class CutCertificate:
 
 @dataclass(frozen=True)
 class AtomSet:
-    kind: str                      # "atom" | "e-atom"
-    side: str                      # "forward" | "transpose"
     members: tuple[frozenset[int], ...]
-    boundary: int                  # kappa for atoms, lambda for e-atoms
 
     @property
     def size(self) -> int | None:
@@ -410,7 +407,6 @@ def _scan_minimum_subsets(g: Digraph, accept, max_size: int,
 def atoms_bruteforce(g: Digraph, kappa: int,
                      cap: int = DEFAULT_BRUTEFORCE_CAP,
                      max_size: int | None = None,
-                     side: str = "forward",
                      budget: int = DEFAULT_SUBSET_BUDGET) -> AtomSet:
     """All minimum-cardinality parts A with |N(A)| = kappa.
 
@@ -438,12 +434,11 @@ def atoms_bruteforce(g: Digraph, kappa: int,
     members, _ = _scan_minimum_subsets(g, accept, limit, budget)
     if not members and max_size is None:
         raise CrossCheckError("no atom found in a non-complete digraph")
-    return AtomSet("atom", side, members, kappa)
+    return AtomSet(members)
 
 
 def e_atoms_bruteforce(g: Digraph, lam: int,
                        cap: int = DEFAULT_BRUTEFORCE_CAP,
-                       side: str = "forward",
                        budget: int = DEFAULT_SUBSET_BUDGET) -> AtomSet:
     """All minimum-cardinality proper nonempty subsets with exactly lambda
     outgoing edges; none on one vertex, which has no such subset."""
@@ -461,7 +456,7 @@ def e_atoms_bruteforce(g: Digraph, lam: int,
     members, _ = _scan_minimum_subsets(g, accept, n - 1, budget)
     if not members and n > 1:
         raise CrossCheckError("no e-atom found in a strongly connected digraph")
-    return AtomSet("e-atom", side, members, lam)
+    return AtomSet(members)
 
 
 def out_edge_count(g: Digraph, vertices: Iterable[int]) -> int:

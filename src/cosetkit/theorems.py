@@ -103,9 +103,9 @@ def _double_coset_clash(cd: CosetDigraph, gp: SubgroupHandle, labels,
 
 
 def _index_covers_d2(cd: CosetDigraph, chain, d_cum) -> Hypothesis:
-    """|G_1/H| >= d_2, vacuous for one step; the index is the witness."""
-    index = len(chain[0]) // len(cd.subgroup)
-    ok = len(chain) < 2 or index >= d_cum[1]
+    """|G_1/H| >= d_2, vacuous below two steps; the index is the witness."""
+    index = len(chain[0]) // len(cd.subgroup) if len(chain) > 1 else None
+    ok = index is None or index >= d_cum[1]
     return Hypothesis("|G_1/H| >= d_2", ok,
                       None if ok else f"|G_1/H| = {index} < d_2 = {d_cum[1]}")
 
@@ -271,6 +271,8 @@ def check_hierarchical_gen(cd: CosetDigraph, ordering=None,
     if variant == "standard":
         hyps.append(_index_covers_d2(cd, chain, d_cum))
     else:
+        if not ordering:
+            raise GroupError("hier1 needs a generator s_1: the connection set is empty")
         s1 = cd.connection[ordering[0]]
         distinct = (double_coset_cosets(cd.subgroup, s1)
                     != double_coset_cosets(cd.subgroup, inverse(s1)))
@@ -306,6 +308,8 @@ def check_hierarchical_gen_c(cd: CosetDigraph, s_labels, sprime_labels) -> Hypot
         raise GroupError("S and S' overlap")
     _require_partition(cd, (s_labels, sprime_labels))
     _require_connected(cd)
+    if not s_labels:
+        raise GroupError("S is empty")
 
     s_images = {cd.connection[lbl].image for lbl in s_labels}
     hyps = []

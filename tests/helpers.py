@@ -128,9 +128,10 @@ def closure_scan_oracle(cd, side: str = "forward") -> list:
 def assert_scan_matches_closure_scan(cd) -> None:
     """Both sides of ``subgroup_atom_scan`` equal the closure scan, and its
     transpose side equals the forward scan of the transpose instance."""
-    for side in ("forward", "transpose"):
-        assert subgroup_atom_scan(cd, side) == closure_scan_oracle(cd, side), side
-    assert subgroup_atom_scan(cd, "transpose") == subgroup_atom_scan(transpose_spec(cd))
+    forward, backward = subgroup_atom_scan(cd)
+    assert forward == closure_scan_oracle(cd, "forward"), "forward"
+    assert backward == closure_scan_oracle(cd, "transpose"), "transpose"
+    assert backward == subgroup_atom_scan(transpose_spec(cd))[0]
 
 
 def reachable(adj, start: int) -> set[int]:

@@ -10,9 +10,10 @@ from corpus import CORPUS_NAMES, CORPUS_SPECS, SMALL_NAMES, instance, z6_disconn
 from cosetkit import (CapExceeded, CosetDigraphSpec, CrossCheckError, GroupError,
                       base_atom_candidate, build, enumerate_closure,
                       generation_connectivity, kappa_group_theoretic, neighbor_set,
-                      parse_cycles, subgroup_atom_scan, transpose_spec,
-                      vertex_connectivity_transitive, verify_atom_theory)
-from cosetkit import atoms, coset, perms
+                      parse_cycles, stabiliser_translations, subgroup_atom_scan,
+                      transpose, transpose_spec, vertex_connectivity_transitive,
+                      verify_atom_theory)
+from cosetkit import atoms, coset, digraph, perms
 
 
 class TestSubgroupScan:
@@ -21,7 +22,7 @@ class TestSubgroupScan:
         # neighbor counts 3, 2, >= n, >= n-1
         cd = instance("s4_mixed")
         tr = transpose_spec(cd)
-        scan = {c.labels: c for c in subgroup_atom_scan(tr)}
+        scan = {c.labels: c for c in subgroup_atom_scan(tr)[0]}
         n = 4
         assert scan[()].neighbor_count == 3
         assert scan[("a^-1",)].neighbor_count == 2
@@ -32,13 +33,13 @@ class TestSubgroupScan:
 
     def test_s4_mixed_forward_candidates(self):
         cd = instance("s4_mixed")
-        scan = {c.labels: c for c in subgroup_atom_scan(cd)}
+        scan = {c.labels: c for c in subgroup_atom_scan(cd)[0]}
         assert scan[()].neighbor_count == 3          # N_1 = {a, b, ba}
         assert scan[("a",)].neighbor_count == 4      # N_2 = {b, ba, ab, aba}
 
     def test_single_generator_only_trivial_candidate(self):
         cd = instance("z6")
-        scan = subgroup_atom_scan(cd)
+        scan, _ = subgroup_atom_scan(cd)
         assert len(scan) == 1
         assert scan[0].labels == ()
         assert scan[0].vertex_set == (cd.base_vertex,)
@@ -56,7 +57,7 @@ class TestSubgroupScan:
     def test_cp52_prefix_subgroup_size(self):
         # <H, gamma(2), gamma(3)> in CP(5,2) has (n-k)! = 6 cosets
         cd = instance("cp_5_2")
-        scan = {c.labels: c for c in subgroup_atom_scan(cd)}
+        scan = {c.labels: c for c in subgroup_atom_scan(cd)[0]}
         cand = scan[("γ(2)", "γ(3)")]
         assert cand.size == 6
 
@@ -64,10 +65,11 @@ class TestSubgroupScan:
         # the scan cross-checks internally; also assert here explicitly
         for name in SMALL_NAMES:
             cd = instance(name)
-            for cand in subgroup_atom_scan(cd):
-                nbrs, is_part = neighbor_set(cd.graph, cand.vertex_set)
-                assert cand.neighbor_count == len(nbrs), name
-                assert cand.is_part == is_part, name
+            for graph, cands in zip((cd.graph, transpose(cd.graph)), subgroup_atom_scan(cd)):
+                for cand in cands:
+                    nbrs, is_part = neighbor_set(graph, cand.vertex_set)
+                    assert cand.neighbor_count == len(nbrs), name
+                    assert cand.is_part == is_part, name
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_equals_closure_scan(self, name):
@@ -78,18 +80,14 @@ class TestSubgroupScan:
         cd = build(CORPUS_SPECS[name]())
         monkeypatch.setattr(atoms, "inverse", lambda p: p)
         with pytest.raises(CrossCheckError, match="disagree with the digraph"):
-            subgroup_atom_scan(cd, "transpose")
-
-    def test_unknown_side_rejected(self):
-        with pytest.raises(KeyError, match="backward"):
-            subgroup_atom_scan(instance("z6"), "backward")
+            subgroup_atom_scan(cd)
 
     def test_neighbor_count_multiple_of_candidate_size(self):
         # the neighbor set of a subgroup candidate is a union of right
         # cosets of that subgroup, so its size is a multiple of |A|
         for name in SMALL_NAMES:
             cd = instance(name)
-            for cand in subgroup_atom_scan(cd):
+            for cand in subgroup_atom_scan(cd)[0]:
                 if cand.is_part:
                     assert cand.neighbor_count % cand.size == 0, name
 
@@ -130,11 +128,10 @@ class TestKappaGroupTheoretic:
             assert forward.kappa_group == oracle, name
             assert forward.oracle_kappa == oracle, name
 
-    def test_no_closure_and_no_transpose_instance(self, monkeypatch):
-        # after the connectivity stage that analyze runs first, the scan
-        # on both sides needs no subgroup of G and no second instance
-        cd = build(CORPUS_SPECS["cp_5_2"]())
-        generation_connectivity(cd)
+    @staticmethod
+    def _counted(monkeypatch, originals) -> Counter:
+        """Calls to each of ``originals``, patched into every ``cosetkit``
+        module binding and into ``CosetDigraph``'s methods."""
         calls = Counter()
 
         def counted(name, fn):
@@ -143,18 +140,39 @@ class TestKappaGroupTheoretic:
                 return fn(*args, **kwargs)
             return wrapper
 
-        originals = {"subgroup_generated": perms.subgroup_generated,
-                     "transpose_spec": coset.transpose_spec, "_build_on": coset._build_on}
-        for key, module in list(sys.modules.items()):
-            if key == "cosetkit" or key.startswith("cosetkit."):
-                for name, fn in originals.items():
-                    if getattr(module, name, None) is fn:
-                        monkeypatch.setattr(module, name, counted(name, fn))
+        owners = [module for key, module in list(sys.modules.items())
+                  if key == "cosetkit" or key.startswith("cosetkit.")]
+        for owner in (*owners, coset.CosetDigraph):
+            for name, fn in originals.items():
+                if getattr(owner, name, None) is fn:
+                    monkeypatch.setattr(owner, name, counted(name, fn))
+        return calls
+
+    def test_no_closure_and_no_transpose_instance(self, monkeypatch):
+        # after the connectivity stage that analyze runs first, the scan
+        # on both sides needs no subgroup of G and no second instance
+        cd = build(CORPUS_SPECS["cp_5_2"]())
+        generation_connectivity(cd)
+        calls = self._counted(monkeypatch, {
+            "subgroup_generated": perms.subgroup_generated,
+            "transpose_spec": coset.transpose_spec, "_build_on": coset._build_on})
         forward, _ = kappa_group_theoretic(cd)
         assert forward.kappa_group == cd.degree
         assert calls == Counter()
         coset.transpose_spec(cd)        # the counters do count
         assert calls["transpose_spec"] == calls["_build_on"] == 1
+
+    def test_one_scan_translates_each_generator_once(self, monkeypatch):
+        # both sides share one pass over S0: one left translation per
+        # generator of S and one reversed digraph
+        cd = build(CORPUS_SPECS["cp_5_2"]())
+        generation_connectivity(cd)
+        stabiliser_translations(cd)
+        calls = self._counted(monkeypatch, {
+            "left_translation": coset.CosetDigraph.left_translation,
+            "transpose": digraph.transpose})
+        kappa_group_theoretic(cd)
+        assert calls == Counter(left_translation=len(cd.labels), transpose=1)
 
     def test_atom_size_below_degree(self):
         # atoms are strictly smaller than the degree whenever d > 1

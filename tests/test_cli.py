@@ -30,6 +30,17 @@ DISCONNECTED_SPEC = {
     "connection_set": [{"label": "s", "perm": "(1 3 5)(2 4 6)"}],
 }
 
+EMPTY_S_SPEC = {"degree": 3, "group_generators": ["(1 2)"],
+                "subgroup_generators": ["(1 2)"], "connection_set": []}
+
+S3_CAYLEY_SPEC = {
+    "degree": 3,
+    "group_generators": ["(1 2)", "(1 2 3)"],
+    "connection_set": [{"label": "a", "perm": "(1 2)"},
+                       {"label": "b", "perm": "(1 2 3)"},
+                       {"label": "t", "perm": "(1 3 2)"}],
+}
+
 
 def write_spec(tmp_path, doc, name="spec.json"):
     path = tmp_path / name
@@ -274,6 +285,23 @@ class TestCheck:
         path = write_spec(tmp_path, CP42_SPEC)
         code, _, _ = run(capsys, "check", "hierarchical_gen_c", path)
         assert code == 1
+
+    @pytest.mark.parametrize("doc, argv, code, line", [
+        (EMPTY_S_SPEC, ["hierarchical_gen"], 0,
+         "hierarchical_gen: applicable and consistent (bound 0, computed 0)"),
+        (EMPTY_S_SPEC, ["hier1"], 1,
+         "error: hier1 needs a generator s_1: the connection set is empty"),
+        (S3_CAYLEY_SPEC, ["hierarchical_gen_c", "--order", "", "--sprime", "a,b,t"], 1,
+         "error: S is empty"),
+    ], ids=("hierarchical_gen", "hier1", "hierarchical_gen_c"))
+    def test_empty_connection_set_ends_in_one_line(self, tmp_path, capsys, doc, argv,
+                                                   code, line):
+        # an empty S (or S in hierarchical_gen_c) gives an answer or a
+        # one-line error, never a traceback
+        path = write_spec(tmp_path, doc)
+        got, _, err = run(capsys, "check", argv[0], path, *argv[1:])
+        assert (got, err) == (code, line + "\n")
+        assert "Traceback" not in err
 
     def test_unknown_theorem_is_exit_one(self, tmp_path, capsys):
         path = write_spec(tmp_path, CP42_SPEC)

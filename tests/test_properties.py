@@ -8,12 +8,22 @@ and each certificate must separate its pair.  On every draw, the built
 instance and its transpose must equal the min-over-gH object path, and the
 subgroup scan over vertex orbits must equal the closure scan on both sides.
 
+Fuzzed spec documents on two to four points, some of them invalid, must
+end every command in exit code 0, 1 or 3 and never raise out of
+``cli.main``.
+
 Separately, on random digraphs with 3 to 10 vertices (mostly neither
 vertex-transitive nor strongly connected), the merged-source flow pass from
 a fixed source must equal the per-sink flow sweep and Edmonds-Karp, and the
 pass with a single sink must be Edmonds-Karp's max-flow stopped at its
 bound, with a cut of that capacity below it.
 """
+
+import contextlib
+import io
+import json
+import os
+import tempfile
 
 import pytest
 
@@ -22,11 +32,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import helpers  # noqa: E402
 from cosetkit import (CosetDigraphSpec, Digraph, NotStronglyConnected,  # noqa: E402
-                      Permutation, build, edge_connectivity, enumerate_closure,
+                      Permutation, build, cli, edge_connectivity, enumerate_closure,
                       generation_connectivity, kappa_group_theoretic,
-                      parse_cycles, stabiliser_translations, subgroup_generated,
-                      transpose_spec, vertex_connectivity_transitive)
+                      parse_cycles, print_cycles, stabiliser_translations,
+                      subgroup_generated, transpose_spec,
+                      vertex_connectivity_transitive)
 from cosetkit.digraph import _edge_network, _vertex_split_network  # noqa: E402
+from cosetkit.theorems import THEOREM_IDS  # noqa: E402
 
 GENERATORS = {n: (parse_cycles("(1 2)", n), Permutation(list(range(2, n + 1)) + [1]))
               for n in (4, 5)}
@@ -98,6 +110,46 @@ def test_build_matches_object_path_oracle(spec):
 @given(coset_specs())
 def test_orbit_scan_equals_closure_scan(spec):
     helpers.assert_scan_matches_closure_scan(build(spec))
+
+
+@st.composite
+def spec_runs(draw):
+    """A spec document on 2 to 4 points, with 0 to 2 group generators, an
+    optional H generator and 0 to 3 labelled connection permutations, plus
+    a theorem and the check options cut from a shuffle of the labels."""
+    n = draw(st.integers(2, 4))
+    perms = st.permutations(range(1, n + 1)).map(lambda img: print_cycles(Permutation(img)))
+    labels = draw(st.lists(st.sampled_from("abc"), max_size=3))
+    doc = {"degree": n, "group_generators": draw(st.lists(perms, max_size=2)),
+           "subgroup_generators": draw(st.lists(perms, max_size=1)),
+           "connection_set": [{"label": lbl, "perm": draw(perms)} for lbl in labels]}
+    shuffled = draw(st.permutations(labels))
+    cuts = sorted(draw(st.lists(st.integers(0, len(shuffled)), max_size=3)))
+    bounds = [0, *cuts, len(shuffled)]
+    split = cuts[0] if cuts else len(shuffled)
+    options = {"--partition": "|".join(",".join(shuffled[a:b])
+                                       for a, b in zip(bounds, bounds[1:])),
+               "--order": ",".join(shuffled[:split]),
+               "--sprime": ",".join(shuffled[split:])}
+    argv = [arg for flag, value in options.items() if draw(st.booleans())
+            for arg in (flag, value)]
+    return doc, draw(st.sampled_from(THEOREM_IDS)), argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(spec_runs())
+def test_fuzzed_specs_end_in_an_exit_code(run):
+    doc, theorem, options = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in (["analyze", path], ["export", path, "--format", "edges"],
+                     ["check", theorem, path, *options]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code in (0, 1, 3), argv
 
 
 @st.composite
