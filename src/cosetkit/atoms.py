@@ -40,7 +40,6 @@ class AtomCandidate:
 
 @dataclass(frozen=True)
 class AtomAnalysis:
-    side: str                                   # "forward" | "transpose"
     kappa_group: int                            # combined over both sides
     winning_candidates: tuple[AtomCandidate, ...]
     oracle_kappa: int | None
@@ -128,11 +127,11 @@ def kappa_group_theoretic(cd: CosetDigraph,
         raise CrossCheckError(
             f"group-theoretic kappa {kappa} != flow-oracle kappa {oracle_kappa}")
 
-    def analysis(side: str, cands: list[AtomCandidate]) -> AtomAnalysis:
+    def analysis(cands: list[AtomCandidate]) -> AtomAnalysis:
         winners = tuple(c for c in cands if c.is_part and c.neighbor_count == kappa)
-        return AtomAnalysis(side, kappa, winners, oracle_kappa)
+        return AtomAnalysis(kappa, winners, oracle_kappa)
 
-    return analysis("forward", forward), analysis("transpose", backward)
+    return analysis(forward), analysis(backward)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from math import factorial
 from .coset import CosetDigraph, CosetDigraphSpec, build
 from .errors import CrossCheckError, GroupError
 from .perms import DEFAULT_ENUM_CAP, Permutation, SubgroupHandle, normalizes
-from .theorems import sub_instance
 
 
 @dataclass(frozen=True)
@@ -62,10 +61,9 @@ def cp_build(p: CPParams, enumeration_cap: int = DEFAULT_ENUM_CAP) -> CosetDigra
     return build(cp_spec(p, enumeration_cap))
 
 
-def cp_degree_profile(p: CPParams, cd: CosetDigraph | None = None) -> dict[str, int]:
+def cp_degree_profile(p: CPParams, cd: CosetDigraph) -> dict[str, int]:
     """Degree table of the built instance, cross-checked against the
     closed form d_gamma(i) = 1 for i <= n-k and d_gamma(n-k+1) = k."""
-    cd = cd if cd is not None else cp_build(p)
     expected = {gamma_label(j): 1 for j in range(2, p.n - p.k + 1)}
     expected[gamma_label(p.n - p.k + 1)] = p.k
     if cd.degrees != expected:
@@ -75,11 +73,9 @@ def cp_degree_profile(p: CPParams, cd: CosetDigraph | None = None) -> dict[str, 
     return dict(cd.degrees)
 
 
-def verify_neighbor_multiplier(p: CPParams, F: SubgroupHandle,
-                               cd: CosetDigraph | None = None) -> bool:
+def verify_neighbor_multiplier(p: CPParams, F: SubgroupHandle, cd: CosetDigraph) -> bool:
     """For H <= F <= G' = <H, gamma(2)..gamma(n-k)>: the neighbors of F/H
     due to gamma(n-k+1) number exactly |F/H| * k, verified by enumeration."""
-    cd = cd if cd is not None else cp_build(p)
     h = cd.subgroup
     gprime = cd.closure(gamma_label(j) for j in range(2, p.n - p.k + 1))
     if F.parent is not cd.group or not h.id_set <= F.id_set <= gprime.id_set:
@@ -98,8 +94,7 @@ class PrefixStructureReport:
     iso_ok: bool
 
 
-def verify_prefix_structure(p: CPParams,
-                            cd: CosetDigraph | None = None) -> PrefixStructureReport:
+def verify_prefix_structure(p: CPParams, cd: CosetDigraph) -> PrefixStructureReport:
     """Structural facts about G' = <H, gamma(2)..gamma(n-k)> for
     1 < k < n-1: every gamma(j) with j <= n-k normalizes H, G'/H has
     (n-k)! cosets, and the instance on G' is isomorphic to CP(n-k, 1)
@@ -107,7 +102,6 @@ def verify_prefix_structure(p: CPParams,
     n, k = p.n, p.k
     if not 1 < k < n - 1:
         raise GroupError(f"prefix structure needs 1 < k < n-1, got n={n} k={k}")
-    cd = cd if cd is not None else cp_build(p)
     h = cd.subgroup
 
     for j in range(2, n - k + 1):
@@ -115,31 +109,30 @@ def verify_prefix_structure(p: CPParams,
             raise CrossCheckError(f"gamma({j}) does not normalize H")
 
     prefix_labels = tuple(gamma_label(j) for j in range(2, n - k + 1))
-    gprime_inst = sub_instance(cd, prefix_labels)
+    gprime_count = len(cd.closure(prefix_labels)) // len(h)
     m = n - k
-    if len(gprime_inst.vertices) != factorial(m):
-        raise CrossCheckError(
-            f"|G'/H| = {len(gprime_inst.vertices)} != ({m})! = {factorial(m)}")
+    if gprime_count != factorial(m):
+        raise CrossCheckError(f"|G'/H| = {gprime_count} != ({m})! = {factorial(m)}")
 
     target = cp_build(CPParams(m, 1))
-    if not _labeled_bfs_isomorphic(gprime_inst, target):
+    if not _labeled_bfs_isomorphic(cd, target, prefix_labels):
         raise CrossCheckError(f"G' instance is not isomorphic to CP({m},1)")
-    return PrefixStructureReport(True, len(gprime_inst.vertices), f"CP({m},1)", True)
+    return PrefixStructureReport(True, gprime_count, f"CP({m},1)", True)
 
 
-def _labeled_bfs_isomorphic(a: CosetDigraph, b: CosetDigraph) -> bool:
-    """Isomorphism check for instances whose edge classes all have d_s = 1
-    and share label names: labels then direct a unique BFS pairing from the
-    base vertices.  The BFS checks every vertex's one edge per label, so a
-    pairing that is a bijection preserves every edge class."""
-    if sorted(a.labels) != sorted(b.labels):
+def _labeled_bfs_isomorphic(a: CosetDigraph, b: CosetDigraph, labels) -> bool:
+    """Isomorphism check between the instance on <H, labels> inside ``a``
+    and ``b``, when those edge classes all have d_s = 1 and share label
+    names: labels then direct a unique BFS pairing from the base vertices
+    along a's rows for ``labels``.  The BFS checks every reached vertex's
+    one edge per label, so a pairing that is a bijection onto b's vertices
+    preserves every edge class."""
+    if sorted(labels) != sorted(b.labels):
         return False
-    if len(a.vertices) != len(b.vertices):
-        return False
-    if any(d != 1 for d in a.degrees.values()) or any(d != 1 for d in b.degrees.values()):
+    if ({a.degrees[lbl] for lbl in labels} | set(b.degrees.values())) - {1}:
         raise GroupError("labeled BFS isomorphism requires every d_s = 1")
 
-    rows = [(a.successors(lbl), b.successors(lbl)) for lbl in a.labels]
+    rows = [(a.successors(lbl), b.successors(lbl)) for lbl in labels]
     pairing = {a.base_vertex: b.base_vertex}
     queue = deque([a.base_vertex])
     while queue:
@@ -152,4 +145,4 @@ def _labeled_bfs_isomorphic(a: CosetDigraph, b: CosetDigraph) -> bool:
             else:
                 pairing[va] = vb
                 queue.append(va)
-    return len(pairing) == len(a.vertices) and len(set(pairing.values())) == len(pairing)
+    return len(pairing) == len(b.vertices) and len(set(pairing.values())) == len(pairing)

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .coset import (CosetDigraph, CosetDigraphSpec, build, generation_connectivity,
-                    oracle_kappa, stabiliser_translations)
-from .digraph import edge_connectivity
-from .errors import GroupError
+from .coset import (CosetDigraph, generation_connectivity, oracle_kappa,
+                    stabiliser_translations)
+from .digraph import Digraph, edge_connectivity, vertex_connectivity_transitive
+from .errors import CrossCheckError, GroupError
 from .perms import SubgroupHandle, double_coset_cosets, inverse
 
 THEOREM_IDS = ("decomposition", "corollary1", "corollary1_1", "hierarchical_gen",
@@ -49,15 +49,21 @@ class HypothesisReport:
         }
 
 
-def sub_instance(cd: CosetDigraph, labels) -> CosetDigraph:
-    """The instance on <H, labels> with the same subgroup H."""
-    gens = tuple(cd.connection[lbl] for lbl in labels)
-    spec = CosetDigraphSpec(cd.spec.degree,
-                            cd.spec.subgroup_generators + gens,
-                            cd.spec.subgroup_generators,
-                            tuple((lbl, cd.connection[lbl]) for lbl in labels),
-                            cd.spec.enumeration_cap)
-    return build(spec)
+def sub_instance(cd: CosetDigraph, labels) -> tuple[Digraph, tuple[tuple[int, ...], ...]]:
+    """The instance on G' = <H, labels> with the same H, read off ``cd``,
+    with H's left translations restricted to it.  Its vertices are cd's
+    cosets inside G', ascending, so the base vertex stays 0; row v holds the
+    cosets of x*s over x in coset v and s in ``labels``."""
+    table = cd.subgroup.cosets()
+    coset_of, members = table.coset_of, table.members
+    inside = sorted({coset_of[x] for x in cd.closure(labels).ids})
+    local = {c: i for i, c in enumerate(inside)}
+    rights = [cd.group.right(cd.connection[lbl]) for lbl in labels]
+    rows = [{coset_of[right[x]] for right in rights for x in members[c]} for c in inside]
+    if not set().union(*rows) <= local.keys():
+        raise CrossCheckError(f"an edge leaves <H, {', '.join(labels)}>")
+    moves = tuple(tuple(local[phi[c]] for c in inside) for phi in stabiliser_translations(cd))
+    return Digraph([sorted(map(local.__getitem__, row)) for row in rows]), moves
 
 
 def _require_connected(cd: CosetDigraph) -> None:
@@ -141,10 +147,10 @@ def check_decomposition(cd: CosetDigraph, r1, r2) -> HypothesisReport:
     computed = oracle_kappa(cd)
     bound = None
     if applicable:
-        sub = sub_instance(cd, r1)
-        kappa_sub = oracle_kappa(sub)
+        sub, moves = sub_instance(cd, r1)
+        kappa_sub, _ = vertex_connectivity_transitive(sub, 0, moves)
         d_r2 = sum(cd.degrees[lbl] for lbl in r2)
-        bound = min(len(sub.vertices), kappa_sub + d_r2)
+        bound = min(sub.vertex_count, kappa_sub + d_r2)
     consistent = (computed >= bound) if applicable else True
     return HypothesisReport("decomposition", (hyp1, hyp2), applicable,
                             bound, computed, consistent)
@@ -178,8 +184,8 @@ def check_tower(cd: CosetDigraph, blocks, variant: str = "corollary1") -> Hypoth
     hyps.append(Hypothesis("same-double-coset members of S_i+1 generate equal <H, r>",
                            witness is None, witness))
 
-    base = sub_instance(cd, blocks[0])
-    kappa_base = oracle_kappa(base)
+    base, moves = sub_instance(cd, blocks[0])
+    kappa_base, _ = vertex_connectivity_transitive(base, 0, moves)
     hyps.append(Hypothesis("kappa(G(G_1, H, S_1)) = d_1", kappa_base == d_cum[0],
                            None if kappa_base == d_cum[0] else
                            f"kappa = {kappa_base}, d_1 = {d_cum[0]}"))
@@ -223,6 +229,13 @@ def hierarchical_order_search(cd: CosetDigraph):
     return extend((), len(cd.subgroup))
 
 
+def _ordering_exists(ordering) -> Hypothesis:
+    """The searched ordering as the witness, or its absence as a failure."""
+    return Hypothesis("a hierarchical ordering exists", ordering is not None,
+                      "no generator ordering grows at every step" if ordering is None
+                      else ",".join(ordering))
+
+
 def is_minimal(cd: CosetDigraph) -> bool:
     """True iff no proper subset of the connection set generates G with H."""
     return all(len(cd.closure(lbl for lbl in cd.labels if lbl != dropped))
@@ -241,9 +254,7 @@ def check_hierarchical_gen(cd: CosetDigraph, ordering=None,
         _require_connected(cd)
         ordering = hierarchical_order_search(cd)
         if ordering is None:
-            hyp = Hypothesis("a hierarchical ordering exists", False,
-                             "no generator ordering grows at every step")
-            return _conclude(theorem_id, cd, (hyp,), cd.degree)
+            return _conclude(theorem_id, cd, (_ordering_exists(None),), cd.degree)
     ordering = tuple(ordering)
     if sorted(ordering) != sorted(cd.labels):
         raise GroupError(f"{ordering} is not an ordering of {cd.labels}")
@@ -288,12 +299,9 @@ def verify_hierarchical_cayley(cd: CosetDigraph) -> HypothesisReport:
     kappa = |S|."""
     if len(cd.subgroup) != 1:
         raise GroupError("not a Cayley digraph: H is nontrivial")
-    ordering = hierarchical_order_search(cd)
-    if ordering is None:
-        raise GroupError("no hierarchical ordering exists")
     _require_connected(cd)
-    hyps = (Hypothesis("H is trivial", True),
-            Hypothesis("a hierarchical ordering exists", True, ",".join(ordering)))
+    ordering = hierarchical_order_search(cd)
+    hyps = (Hypothesis("H is trivial", True), _ordering_exists(ordering))
     return _conclude("hierarchical_cayley", cd, hyps, len(cd.labels))
 
 

@@ -8,7 +8,9 @@ atoms.  The per-sink flow sweep runs the package's merged pass with one
 sink at a time, a plain max-flow, as the reference for the merged-source
 pass over all sinks that replaced it.  The closure scan computes each
 subgroup candidate <H, S0> as a subgroup of G, as the reference for the
-scan over vertex orbits that replaced it.
+scan over vertex orbits that replaced it.  The sub-instance oracle builds
+the instance on <H, S0> from a spec of its own, enumerating <H, S0> afresh,
+as the reference for the sub-instance read off the parent instance.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from cosetkit import AtomCandidate, inverse, subgroup_atom_scan, transpose_spec
+from cosetkit import (AtomCandidate, CosetDigraphSpec, build, inverse, subgroup_atom_scan,
+                      transpose_spec)
 
 
 def apply_then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -99,6 +102,18 @@ def assert_matches_object_path(cd) -> None:
     assert cd.degrees == want.degrees
     assert {lbl: frozenset((u, v) for u, row in enumerate(cd.successors(lbl)) for v in row)
             for lbl in cd.labels} == want.edge_class
+
+
+def sub_instance_oracle(cd, labels):
+    """The instance on <H, labels> with the same subgroup H, built from a
+    spec whose group generators are H's generators and those of ``labels``."""
+    gens = tuple(cd.connection[lbl] for lbl in labels)
+    spec = CosetDigraphSpec(cd.spec.degree,
+                            cd.spec.subgroup_generators + gens,
+                            cd.spec.subgroup_generators,
+                            tuple((lbl, cd.connection[lbl]) for lbl in labels),
+                            cd.spec.enumeration_cap)
+    return build(spec)
 
 
 def closure_scan_oracle(cd, side: str = "forward") -> list:

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from cosetkit import cli, coset, digraph
+from cosetkit import cli, coset, digraph, perms
 from cosetkit.cp import gamma_label
 
 S4_MIXED_SPEC = {
@@ -240,6 +240,35 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "hierarchical_gen", path)
         assert code == 3
         assert json.loads(out)["applicable"] is False
+
+    def test_hierarchical_cayley_no_ordering_exists(self, tmp_path, capsys):
+        # a failed hypothesis, exit 3, as for hierarchical_gen: not an input error
+        path = write_spec(tmp_path, S4_MIXED_SPEC)
+        code, out, err = run(capsys, "check", "hierarchical_cayley", path)
+        assert code == 3
+        assert json.loads(out)["applicable"] is False
+        assert err == ("hierarchical_cayley: hypotheses not satisfied: a hierarchical "
+                       "ordering exists [no generator ordering grows at every step]\n")
+
+    @pytest.mark.parametrize("theorem, blocks", [
+        ("decomposition", ((2, 3, 4), (5,))),
+        ("corollary1", ((2,), (3,), (4,), (5,))),
+        ("corollary1_1", ((2,), (3,), (4,), (5,))),
+    ])
+    def test_one_enumeration_per_check(self, tmp_path, capsys, monkeypatch, theorem,
+                                       blocks):
+        # the sub-instance on G_1 is read off the instance: G is enumerated once
+        calls = []
+        original = perms.enumerate_closure
+        for module in (perms, coset):
+            monkeypatch.setattr(module, "enumerate_closure",
+                                lambda *args: calls.append(args) or original(*args))
+        path = write_spec(tmp_path, {"family": "cp", "n": 6, "k": 2})
+        partition = "|".join(",".join(map(gamma_label, b)) for b in blocks)
+        code, _, err = run(capsys, "check", theorem, path, "--partition", partition)
+        assert (code, err) == (0, f"{theorem}: applicable and consistent "
+                                  f"(bound 5, computed 5)\n")
+        assert len(calls) == 1
 
     def test_hierarchical_search_on_disconnected_instance(self, tmp_path, capsys):
         # <(1 2 3)> is a proper subgroup of S_4 and no ordering of the two

@@ -6,7 +6,9 @@ translations the CLI passes, must equal both Even's Edmonds-Karp oracle
 and the subgroup scan, λ (both ways) must equal its oracle and the degree,
 and each certificate must separate its pair.  On every draw, the built
 instance and its transpose must equal the min-over-gH object path, and the
-subgroup scan over vertex orbits must equal the closure scan on both sides.
+subgroup scan over vertex orbits must equal the closure scan on both sides,
+and the sub-instance on each nonempty label subset, read off the instance,
+must equal a fresh build of it in vertex and edge count, κ and λ.
 
 Fuzzed spec documents on two to four points, some of them invalid, must
 end every command in exit code 0, 1 or 3 and never raise out of
@@ -24,6 +26,7 @@ import io
 import json
 import os
 import tempfile
+from itertools import combinations
 
 import pytest
 
@@ -33,9 +36,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import helpers  # noqa: E402
 from cosetkit import (CosetDigraphSpec, Digraph, NotStronglyConnected,  # noqa: E402
                       Permutation, build, cli, edge_connectivity, enumerate_closure,
-                      generation_connectivity, kappa_group_theoretic,
+                      generation_connectivity, kappa_group_theoretic, oracle_kappa,
                       parse_cycles, print_cycles, stabiliser_translations,
-                      subgroup_generated, transpose_spec,
+                      sub_instance, subgroup_generated, transpose_spec,
                       vertex_connectivity_transitive)
 from cosetkit.digraph import _edge_network, _vertex_split_network  # noqa: E402
 from cosetkit.theorems import THEOREM_IDS  # noqa: E402
@@ -110,6 +113,23 @@ def test_build_matches_object_path_oracle(spec):
 @given(coset_specs())
 def test_orbit_scan_equals_closure_scan(spec):
     helpers.assert_scan_matches_closure_scan(build(spec))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(coset_specs())
+def test_sub_instance_equals_fresh_build(spec):
+    cd = build(spec)
+    for r in range(1, len(cd.labels) + 1):
+        for labels in combinations(cd.labels, r):
+            sub, moves = sub_instance(cd, labels)
+            fresh = helpers.sub_instance_oracle(cd, labels)
+            lam, _ = edge_connectivity(fresh.graph, fresh.base_vertex,
+                                       stabiliser_translations(fresh))
+            assert (sub.vertex_count, sub.edge_count,
+                    vertex_connectivity_transitive(sub, 0, moves)[0],
+                    edge_connectivity(sub, 0, moves)[0]) == \
+                (fresh.graph.vertex_count, fresh.graph.edge_count, oracle_kappa(fresh),
+                 lam), labels
 
 
 @st.composite

@@ -192,8 +192,11 @@ class TestHierarchicalCayley:
             verify_hierarchical_cayley(cp_instance(4, 2))
 
     def test_non_hierarchical_rejected(self):
-        with pytest.raises(GroupError):
-            verify_hierarchical_cayley(instance("s4_mixed"))
+        # no hierarchical ordering is a failed hypothesis, as in hierarchical_gen
+        report = verify_hierarchical_cayley(instance("s4_mixed"))
+        assert [(h.description, h.witness) for h in report.hypotheses if not h.holds] == \
+            [("a hierarchical ordering exists", "no generator ordering grows at every step")]
+        assert not report.applicable and report.consistent
 
 
 class TestHierarchicalGenC:
