@@ -20,7 +20,7 @@ from .coset import (CosetDigraph, generation_connectivity, oracle_kappa,
                     stabiliser_translations)
 from .digraph import DEFAULT_BRUTEFORCE_CAP, atoms_bruteforce, neighbor_set, transpose
 from .errors import CapExceeded, CrossCheckError, GroupError
-from .perms import inverse
+from .perms import inverse, orbit
 
 MAX_SCAN_GENERATORS = 12
 
@@ -43,19 +43,6 @@ class AtomAnalysis:
     kappa_group: int                            # combined over both sides
     winning_candidates: tuple[AtomCandidate, ...]
     oracle_kappa: int | None
-
-
-def _orbit(moves, seeds) -> set[int]:
-    """The union of the orbits of ``seeds`` under the group generated by
-    the vertex permutations ``moves``."""
-    found, queue = set(seeds), list(seeds)
-    for v in queue:
-        for phi in moves:
-            w = phi[v]
-            if w not in found:
-                found.add(w)
-                queue.append(w)
-    return found
 
 
 def subgroup_atom_scan(cd: CosetDigraph) -> tuple[list[AtomCandidate], list[AtomCandidate]]:
@@ -81,13 +68,13 @@ def subgroup_atom_scan(cd: CosetDigraph) -> tuple[list[AtomCandidate], list[Atom
             if any(sp.issubset(chosen) for sp in spanning):
                 continue
             k_moves = [*stabiliser_translations(cd), *(moves[i] for i in chosen)]
-            inside = _orbit(k_moves, [cd.base_vertex])
+            inside = set(orbit(k_moves, [cd.base_vertex]))
             if len(inside) == len(cd.vertices):
                 spanning.append(set(chosen))
                 continue
             for graph, suffix, heads, candidates in sides:
-                reached = _orbit(k_moves, {heads[i] for i in range(len(labels))
-                                           if i not in chosen} - inside)
+                reached = set(orbit(k_moves, {heads[i] for i in range(len(labels))
+                                              if i not in chosen} - inside))
                 names = tuple(labels[i] + suffix for i in chosen)
                 digraph_nbrs, is_part = neighbor_set(graph, inside)
                 if reached != digraph_nbrs:

@@ -9,7 +9,6 @@ contributes k.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import factorial
 
@@ -114,35 +113,33 @@ def verify_prefix_structure(p: CPParams, cd: CosetDigraph) -> PrefixStructureRep
     if gprime_count != factorial(m):
         raise CrossCheckError(f"|G'/H| = {gprime_count} != ({m})! = {factorial(m)}")
 
-    target = cp_build(CPParams(m, 1))
-    if not _labeled_bfs_isomorphic(cd, target, prefix_labels):
+    pairs = [(gamma_label(j), gamma(j, m)) for j in range(2, m + 1)]
+    if not _labeled_bfs_isomorphic(cd, pairs):
         raise CrossCheckError(f"G' instance is not isomorphic to CP({m},1)")
     return PrefixStructureReport(True, gprime_count, f"CP({m},1)", True)
 
 
-def _labeled_bfs_isomorphic(a: CosetDigraph, b: CosetDigraph, labels) -> bool:
-    """Isomorphism check between the instance on <H, labels> inside ``a``
-    and ``b``, when those edge classes all have d_s = 1 and share label
-    names: labels then direct a unique BFS pairing from the base vertices
-    along a's rows for ``labels``.  The BFS checks every reached vertex's
-    one edge per label, so a pairing that is a bijection onto b's vertices
-    preserves every edge class."""
-    if sorted(labels) != sorted(b.labels):
-        return False
-    if ({a.degrees[lbl] for lbl in labels} | set(b.degrees.values())) - {1}:
+def _labeled_bfs_isomorphic(cd: CosetDigraph, pairs) -> bool:
+    """Isomorphism check between the instance on <H, labels> inside ``cd``
+    and the Cayley digraph of S_m with edges x -> x*t, for the (label, t)
+    ``pairs``, every t on m points, when those edge classes of ``cd`` all
+    have d_s = 1: labels then direct a unique BFS pairing from the base
+    vertex and the identity.  The walk reads one edge per label of each
+    coset it reaches and checks it against x*t, so a pairing that is a
+    bijection onto S_m preserves every edge class."""
+    if {cd.degrees[lbl] for lbl, _ in pairs} - {1}:
         raise GroupError("labeled BFS isomorphism requires every d_s = 1")
-
-    rows = [(a.successors(lbl), b.successors(lbl)) for lbl in labels]
-    pairing = {a.base_vertex: b.base_vertex}
-    queue = deque([a.base_vertex])
-    while queue:
-        u = queue.popleft()
-        for rows_a, rows_b in rows:
-            (va,), (vb,) = rows_a[u], rows_b[pairing[u]]
-            if va in pairing:
-                if pairing[va] != vb:
-                    return False
-            else:
+    table = cd.subgroup.cosets()
+    steps = [(cd.group.right(cd.connection[lbl]), t) for lbl, t in pairs]
+    m = pairs[0][1].degree
+    pairing, queue = {cd.base_vertex: Permutation.identity(m)}, [cd.base_vertex]
+    for u in queue:                     # the list grows as it is read
+        x, y = table.rep_ids[u], pairing[u]
+        for right, t in steps:
+            va, vb = table.coset_of[right[x]], y * t
+            if va not in pairing:
                 pairing[va] = vb
                 queue.append(va)
-    return len(pairing) == len(b.vertices) and len(set(pairing.values())) == len(pairing)
+            elif pairing[va] != vb:
+                return False
+    return len(pairing) == factorial(m) and len(set(pairing.values())) == len(pairing)

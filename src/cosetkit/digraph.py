@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, CompleteDigraphError, CrossCheckError, NotStronglyConnected
+from .perms import orbit
 
 DEFAULT_BRUTEFORCE_CAP = 18
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -285,14 +286,7 @@ def _orbit_minima(g: Digraph, base: int,
     automorphism of ``g`` fixing ``base``, so that local connectivities from
     ``base`` are constant on orbits; checked here, else CrossCheckError."""
     n = g.vertex_count
-    root = list(range(n))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
+    symmetries = list(symmetries)
     for phi in symmetries:
         if sorted(phi) != list(range(n)):
             raise CrossCheckError("a symmetry is not a permutation of the vertices")
@@ -300,17 +294,18 @@ def _orbit_minima(g: Digraph, base: int,
             raise CrossCheckError(f"a symmetry moves the base vertex {base}")
         if any({phi[v] for v in g.adj[u]} != set(g.adj[phi[u]]) for u in range(n)):
             raise CrossCheckError("a symmetry is not an automorphism of the digraph")
-        for u in range(n):
-            a, b = find(u), find(phi[u])
-            if a != b:
-                root[max(a, b)] = min(a, b)
+    least = [-1] * n
+    for u in range(n):                  # ascending, so u is its orbit's least vertex
+        if least[u] < 0:
+            for v in orbit(symmetries, [u]):
+                least[v] = u
     order, seen = [base], {base}
     for u in order:                     # the list grows as it is read
         for v in g.adj[u]:
             if v not in seen:
                 seen.add(v)
                 order.append(v)
-    return [v for v in order[1:] if find(v) == v]
+    return [v for v in order[1:] if least[v] == v]
 
 
 def _certified_cut(net: _UnitFlow, source: int, sinks: list[int],

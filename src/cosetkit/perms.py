@@ -61,21 +61,13 @@ class Permutation:
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, fixed points omitted, each starting at its
         minimum, sorted by minimum element."""
-        seen = [False] * self.degree
-        out = []
+        padded, seen, out = [(0,) + self.image], set(), []
         for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cur, cyc = start, [start]
-            seen[start - 1] = True
-            while True:
-                cur = self.image[cur - 1]
-                if cur == start:
-                    break
-                seen[cur - 1] = True
-                cyc.append(cur)
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
+            if start not in seen:
+                cyc = orbit(padded, [start])
+                seen.update(cyc)
+                if len(cyc) > 1:
+                    out.append(tuple(cyc))
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -89,6 +81,22 @@ class Permutation:
 
     def __repr__(self) -> str:
         return print_cycles(self)
+
+
+def orbit(maps: Sequence[Sequence[int]], seeds: Iterable[int]) -> list[int]:
+    """The breadth-first closure of ``seeds`` under the index permutations
+    ``maps``, in discovery order: the union of the seeds' orbits under the
+    group the maps generate, as the inverse of a permutation of a finite set
+    is one of its powers."""
+    found = list(dict.fromkeys(seeds))
+    seen = set(found)
+    for v in found:                     # the list grows as it is read
+        for phi in maps:
+            w = phi[v]
+            if w not in seen:
+                seen.add(w)
+                found.append(w)
+    return found
 
 
 def compose(pi: Permutation, sigma: Permutation) -> Permutation:
@@ -221,19 +229,12 @@ class CosetTable:
         coset_of = [-1] * len(G)
         rep_ids, members = [], []
         for x in range(len(G)):
-            if coset_of[x] >= 0:
-                continue
-            c = len(members)
-            coset_of[x] = c
-            block = [x]
-            for y in block:             # xH is the closure of x under H's generators
-                for t in tables:
-                    z = t[y]
-                    if coset_of[z] < 0:
-                        coset_of[z] = c
-                        block.append(z)
-            members.append(tuple(block))
-            rep_ids.append(min(block, key=image.__getitem__))
+            if coset_of[x] < 0:         # xH is the orbit of x under H's generators
+                block = orbit(tables, [x])
+                for y in block:
+                    coset_of[y] = len(members)
+                members.append(tuple(block))
+                rep_ids.append(min(block, key=image.__getitem__))
         self.coset_of = coset_of
         self.rep_ids = rep_ids
         self.members = members
@@ -322,8 +323,9 @@ def trivial_subgroup(ctx: GroupContext) -> SubgroupHandle:
 
 def subgroup_generated(ctx: GroupContext, seed: SubgroupHandle | None,
                        extra: Sequence[Permutation] = ()) -> SubgroupHandle:
-    """Smallest subgroup of ``ctx`` containing ``seed`` and ``extra``,
-    closed over the right tables of the seed's generators and ``extra``."""
+    """Smallest subgroup of ``ctx`` containing ``seed`` and ``extra``: the
+    orbit of the identity under the right tables of the seed's generators
+    and ``extra``."""
     if seed is not None and seed.parent is not ctx:
         raise GroupError("seed subgroup belongs to a different group")
     gen_ids = list(seed.generator_ids) if seed is not None else []
@@ -332,16 +334,7 @@ def subgroup_generated(ctx: GroupContext, seed: SubgroupHandle | None,
             raise GroupError(f"element {g} not in parent group")
         gen_ids.append(ctx.index[g.image])
     gen_ids = tuple(dict.fromkeys(i for i in gen_ids if i != 0))
-    tables = [ctx.right(ctx.elements[i]) for i in gen_ids]
-    seen = bytearray(len(ctx))
-    seen[0] = 1
-    members = [0]
-    for x in members:
-        for t in tables:
-            y = t[x]
-            if not seen[y]:
-                seen[y] = 1
-                members.append(y)
+    members = orbit([ctx.right(ctx.elements[i]) for i in gen_ids], [0])
     return SubgroupHandle(ctx, tuple(sorted(members)), gen_ids)
 
 

@@ -10,7 +10,9 @@ pass over all sinks that replaced it.  The closure scan computes each
 subgroup candidate <H, S0> as a subgroup of G, as the reference for the
 scan over vertex orbits that replaced it.  The sub-instance oracle builds
 the instance on <H, S0> from a spec of its own, enumerating <H, S0> afresh,
-as the reference for the sub-instance read off the parent instance.
+as the reference for the sub-instance read off the parent instance.  The
+orbit-minima oracle joins the vertices by union-find, as the reference for
+the flow routines' sinks, which now come from ``perms.orbit``.
 """
 
 from __future__ import annotations
@@ -147,6 +149,34 @@ def assert_scan_matches_closure_scan(cd) -> None:
     assert forward == closure_scan_oracle(cd, "forward"), "forward"
     assert backward == closure_scan_oracle(cd, "transpose"), "transpose"
     assert backward == subgroup_atom_scan(transpose_spec(cd))[0]
+
+
+def orbit_minima_oracle(g, base: int, symmetries) -> list[int]:
+    """Least vertex of each orbit but {base} of the group generated by the
+    vertex permutations ``symmetries``, in breadth-first order from
+    ``base``: each symmetry joins u with its image in a union-find whose
+    roots are the least vertices."""
+    n = g.vertex_count
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for phi in symmetries:
+        for u in range(n):
+            a, b = find(u), find(phi[u])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    order, seen = [base], {base}
+    for u in order:
+        for v in g.adj[u]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    return [v for v in order[1:] if find(v) == v]
 
 
 def reachable(adj, start: int) -> set[int]:

@@ -5,10 +5,11 @@ from math import factorial
 import pytest
 
 from corpus import cp_instance
-from cosetkit import (GroupError, hierarchical_order_search,
-                      subgroup_generated, verify_neighbor_multiplier,
-                      verify_prefix_structure)
-from cosetkit.cp import CPParams, cp_degree_profile, gamma, gamma_label
+from cosetkit import (CosetDigraphSpec, GroupError, Permutation, build, coset,
+                      hierarchical_order_search, perms, subgroup_generated,
+                      verify_neighbor_multiplier, verify_prefix_structure)
+from cosetkit.cp import (CPParams, _labeled_bfs_isomorphic, cp_degree_profile, gamma,
+                         gamma_label)
 
 
 class TestGamma:
@@ -151,3 +152,39 @@ class TestProofFacts:
             verify_prefix_structure(CPParams(4, 1), cp_instance(4, 1))
         with pytest.raises(GroupError):
             verify_prefix_structure(CPParams(4, 3), cp_instance(4, 3))
+
+    def test_prefix_structure_enumerates_nothing(self, monkeypatch):
+        # CP(m, 1) is walked alongside the parent's cosets, not built
+        cd = cp_instance(6, 3)
+        calls = []
+        original = perms.enumerate_closure
+        for module in (perms, coset):
+            monkeypatch.setattr(module, "enumerate_closure",
+                                lambda *args: calls.append(args) or original(*args))
+        report = verify_prefix_structure(CPParams(6, 3), cd)
+        assert (report.iso_target, report.iso_ok) == ("CP(3,1)", True)
+        assert calls == []
+
+    def test_swapped_targets_are_not_isomorphic(self):
+        # on CP(5,2), gamma(2) acts as an involution on G'/H and gamma(3)
+        # on 3 points has order 3; no automorphism of S_3 swaps the two
+        cd = cp_instance(5, 2)
+        two, three = gamma_label(2), gamma_label(3)
+        assert _labeled_bfs_isomorphic(cd, [(two, gamma(2, 3)), (three, gamma(3, 3))])
+        assert not _labeled_bfs_isomorphic(cd, [(two, gamma(3, 3)), (three, gamma(2, 3))])
+        assert not _labeled_bfs_isomorphic(cd, [(two, gamma(3, 3))])
+        assert not _labeled_bfs_isomorphic(cd, [(three, gamma(2, 3))])
+
+    def test_walk_checks_edges_off_its_tree(self):
+        # C_6 = <x> with labels x and x^2 against S_3 with (1 2) and (1 3 2):
+        # the walk's tree reaches six distinct elements of S_3, but x*x = x^2
+        # while (1 2)(1 2) is not (1 3 2); C_6 is abelian and S_3 is not
+        x = Permutation([2, 3, 4, 5, 6, 1])
+        cd = build(CosetDigraphSpec(6, (x,), (), (("x", x), ("x2", x * x))))
+        assert not _labeled_bfs_isomorphic(cd, [("x", gamma(2, 3)), ("x2", gamma(3, 3))])
+
+    def test_labeled_walk_needs_single_edge_classes(self):
+        # gamma(3) is the top generator of CP(4,2), with d = 2
+        cd = cp_instance(4, 2)
+        with pytest.raises(GroupError, match="every d_s = 1"):
+            _labeled_bfs_isomorphic(cd, [(gamma_label(3), gamma(2, 2))])

@@ -373,6 +373,16 @@ class TestAtoms:
         with pytest.raises(CapExceeded):
             atoms_bruteforce(directed_cycle(25), kappa=1, cap=18)
 
+    def test_subset_budget_is_reported_as_a_cap(self):
+        # every vertex of the 6-cycle is an atom and an e-atom: the size-1
+        # scan examines 6 subsets, so a budget of 6 suffices and 5 does not
+        g = directed_cycle(6)
+        for routine in (atoms_bruteforce, e_atoms_bruteforce):
+            assert len(routine(g, 1, budget=6).members) == 6
+            with pytest.raises(CapExceeded, match=r"exceeded budget 5 at size 1$") as info:
+                routine(g, 1, budget=5)
+            assert info.value.count == 6
+
     def test_max_size_returns_empty(self):
         # 6-cycle atoms are singletons, so a max_size search below 1 is
         # impossible; instead check a graph whose atoms are bigger than 1

@@ -10,6 +10,7 @@ from cosetkit import (CapExceeded, GroupError, Permutation, canonical_coset_rep,
                       enumerate_closure, inverse, left_coset_reps, normalizes,
                       parse_cycles, print_cycles, subgroup_generated,
                       trivial_subgroup)
+from cosetkit.perms import orbit
 from helpers import apply_then
 
 
@@ -70,6 +71,22 @@ class TestInverse:
             p = Permutation(img)
             assert compose(p, inverse(p)).is_identity()
             assert compose(inverse(p), p).is_identity()
+
+
+class TestOrbit:
+    def test_breadth_first_discovery_order(self):
+        # 0 -> 1 under the first map, 0 -> 2 under the second, then 1 -> 3
+        first, second = [1, 3, 2, 0, 4], [2, 1, 0, 3, 4]
+        assert orbit([first, second], [0]) == [0, 1, 2, 3]
+
+    def test_seeds_first_once_each(self):
+        rotate = [1, 2, 0, 4, 3, 5]
+        assert orbit([rotate], [5, 3, 5]) == [5, 3, 4]
+        assert orbit([rotate], [2, 4]) == [2, 4, 0, 3, 1]
+
+    def test_no_maps_and_no_seeds(self):
+        assert orbit([], [4, 1, 4]) == [4, 1]
+        assert orbit([[1, 0]], []) == []
 
 
 class TestCycleNotation:

@@ -12,7 +12,13 @@ must equal a fresh build of it in vertex and edge count, κ and λ.
 
 Fuzzed spec documents on two to four points, some of them invalid, must
 end every command in exit code 0, 1 or 3 and never raise out of
-``cli.main``.
+``cli.main``.  Two ``analyze`` runs of one drawn spec in one process must
+print the same bytes.
+
+The one orbit routine both κ routes rest on, ``perms.orbit``, must equal
+sympy's orbits on random index permutations, and the flow routines' sinks,
+the orbit minima of the stabiliser translations, must equal the union-find
+oracle's.
 
 Separately, on random digraphs with 3 to 10 vertices (mostly neither
 vertex-transitive nor strongly connected), the merged-source flow pass from
@@ -40,7 +46,8 @@ from cosetkit import (CosetDigraphSpec, Digraph, NotStronglyConnected,  # noqa: 
                       parse_cycles, print_cycles, stabiliser_translations,
                       sub_instance, subgroup_generated, transpose_spec,
                       vertex_connectivity_transitive)
-from cosetkit.digraph import _edge_network, _vertex_split_network  # noqa: E402
+from cosetkit.digraph import _edge_network, _orbit_minima, _vertex_split_network  # noqa: E402
+from cosetkit.perms import orbit  # noqa: E402
 from cosetkit.theorems import THEOREM_IDS  # noqa: E402
 
 GENERATORS = {n: (parse_cycles("(1 2)", n), Permutation(list(range(2, n + 1)) + [1]))
@@ -130,6 +137,60 @@ def test_sub_instance_equals_fresh_build(spec):
                     edge_connectivity(sub, 0, moves)[0]) == \
                 (fresh.graph.vertex_count, fresh.graph.edge_count, oracle_kappa(fresh),
                  lam), labels
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(coset_specs())
+def test_orbit_minima_equal_union_find(spec):
+    # H's generators, then every element of H: both fix the base vertex
+    cd = build(spec)
+    for symmetries in (stabiliser_translations(cd),
+                       [cd.left_translation(h) for h in cd.subgroup.ids]):
+        assert _orbit_minima(cd.graph, cd.base_vertex, symmetries) == \
+            helpers.orbit_minima_oracle(cd.graph, cd.base_vertex, symmetries)
+
+
+@st.composite
+def index_maps(draw):
+    """One to three permutations of 0..n-1, n from 1 to 8, and a list of
+    seeds, possibly repeated."""
+    n = draw(st.integers(1, 8))
+    maps = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return maps, draw(st.lists(st.integers(0, n - 1), max_size=4))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(index_maps())
+def test_orbit_equals_sympy_orbits(drawn):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    maps, seeds = drawn
+    group = combinatorics.PermutationGroup([combinatorics.Permutation(m) for m in maps])
+    found = orbit(maps, seeds)
+    assert len(found) == len(set(found))
+    assert found[:len(set(seeds))] == list(dict.fromkeys(seeds))
+    assert set(found) == set().union(*(group.orbit(v) for v in seeds))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(coset_specs())
+def test_analyze_prints_the_same_bytes_twice(spec):
+    doc = {"degree": spec.degree,
+           "group_generators": [print_cycles(p) for p in spec.group_generators],
+           "subgroup_generators": [print_cycles(p) for p in spec.subgroup_generators],
+           "connection_set": [{"label": lbl, "perm": print_cycles(p)}
+                              for lbl, p in spec.connection_set]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        runs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["analyze", path])
+            runs.append((code, out.getvalue(), err.getvalue()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1]
 
 
 @st.composite
