@@ -14,6 +14,7 @@ error, 2 internal inconsistency, 3 theorem hypotheses not satisfied.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -267,6 +268,7 @@ def _parse_labels(raw: str) -> list[str]:
 
 
 def run_check(theorem: str, cd: CosetDigraph, args) -> theorems.HypothesisReport:
+    """Run the checker ``theorem``, one of ``theorems.THEOREM_IDS``."""
     if theorem == "decomposition":
         if args.partition is None:
             raise SpecError("check decomposition requires --partition R1|R2")
@@ -290,13 +292,13 @@ def run_check(theorem: str, cd: CosetDigraph, args) -> theorems.HypothesisReport
                             "order) and --sprime (S')")
         return theorems.check_hierarchical_gen_c(cd, _parse_labels(args.order),
                                                  _parse_labels(args.sprime))
-    if theorem == "edgec":
-        return theorems.verify_edge_connectivity(cd)
-    raise SpecError(f"unknown theorem {theorem!r}; choose from "
-                    f"{', '.join(theorems.THEOREM_IDS)}")
+    return theorems.verify_edge_connectivity(cd)        # "edgec"
 
 
 def cmd_check(args) -> int:
+    if args.theorem not in theorems.THEOREM_IDS:
+        raise SpecError(f"unknown theorem {args.theorem!r}; choose from "
+                        f"{', '.join(theorems.THEOREM_IDS)}")
     spec, _ = load_spec_document(args.spec)
     cd = build(spec)
     report = run_check(args.theorem, cd, args)
@@ -324,6 +326,7 @@ def _dot_quote(text: str) -> str:
 
 
 def export_lines(cd: CosetDigraph, fmt: str) -> list[str]:
+    """The lines of ``cd`` in ``fmt``, "dot" or "edges"."""
     if fmt == "dot":
         lines = ["digraph coset {"]
         for i, rep in enumerate(cd.vertices):
@@ -333,14 +336,14 @@ def export_lines(cd: CosetDigraph, fmt: str) -> list[str]:
                 lines.extend(f"  v{u} -> v{v} [label={_dot_quote(lbl)}];" for v in row)
         lines.append("}")
         return lines
-    if fmt == "edges":
-        rows = [cd.successors(lbl) for lbl in cd.labels]
-        return [f"{u} {v} {cd.labels[i]}" for u in range(len(cd.vertices))
-                for v, i in sorted((v, i) for i, r in enumerate(rows) for v in r[u])]
-    raise SpecError(f"unknown export format {fmt!r}; choose dot or edges")
+    rows = [cd.successors(lbl) for lbl in cd.labels]                # "edges"
+    return [f"{u} {v} {cd.labels[i]}" for u in range(len(cd.vertices))
+            for v, i in sorted((v, i) for i, r in enumerate(rows) for v in r[u])]
 
 
 def cmd_export(args) -> int:
+    if args.format not in ("dot", "edges"):
+        raise SpecError(f"unknown export format {args.format!r}; choose dot or edges")
     spec, _ = load_spec_document(args.spec)
     cd = build(spec)
     sys.stdout.write("\n".join(export_lines(cd, args.format)) + "\n")
@@ -360,7 +363,10 @@ def cmd_cp(args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's grammar, built on first use and shared by every ``main``
+    call in the process: parsing leaves no state on it."""
     parser = _Parser(prog="cosetkit",
                      description="Cayley coset digraph connectivity toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -397,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SpecError, GroupError, NotStronglyConnected, CapExceeded) as exc:

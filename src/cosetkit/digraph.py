@@ -23,9 +23,10 @@ DEFAULT_SUBSET_BUDGET = 2_000_000
 
 class Digraph:
     """Immutable digraph on vertices 0..n-1; no loops, no parallel edges.
-    Its strongly connected components are computed once, on first use."""
+    Its strongly connected components are computed once, on first use, and
+    so are the flow routines' sinks for each base vertex and symmetries."""
 
-    __slots__ = ("adj", "_scc")
+    __slots__ = ("adj", "_scc", "_sinks")
 
     def __init__(self, adjacency: Sequence[Sequence[int]]):
         n = len(adjacency)
@@ -42,6 +43,7 @@ class Digraph:
             adj.append(row)
         self.adj = tuple(adj)
         self._scc: tuple[tuple[int, ...], ...] | None = None
+        self._sinks: dict[tuple, tuple[int, ...]] = {}
 
     @property
     def vertex_count(self) -> int:
@@ -308,7 +310,18 @@ def _orbit_minima(g: Digraph, base: int,
     return [v for v in order[1:] if least[v] == v]
 
 
-def _certified_cut(net: _UnitFlow, source: int, sinks: list[int],
+def _sink_orbits(g: Digraph, base: int,
+                 symmetries: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """``_orbit_minima``, computed once per digraph, base and symmetries, so
+    that κ and λ from one base share their sinks and the symmetry checks."""
+    key = (base, tuple(map(tuple, symmetries)))
+    sinks = g._sinks.get(key)
+    if sinks is None:
+        sinks = g._sinks[key] = tuple(_orbit_minima(g, base, key[1]))
+    return sinks
+
+
+def _certified_cut(net: _UnitFlow, source: int, sinks: Sequence[int],
                    bound: int) -> tuple[int, int, set[int]]:
     """Least max-flow from ``source`` into one of ``sinks`` by the merged
     pass from ``bound``, with its certificate: the first sink in ascending
@@ -346,7 +359,7 @@ def vertex_connectivity_transitive(g: Digraph, base: int,
         return n - 1, None
     # automorphisms fixing base preserve adjacency to base, so an orbit is
     # a non-neighbor exactly when its least vertex is
-    sinks = [2 * t for t in _orbit_minima(g, base, symmetries) if not g.has_edge(base, t)]
+    sinks = [2 * t for t in _sink_orbits(g, base, symmetries) if not g.has_edge(base, t)]
     kappa, sink, reach = _certified_cut(_vertex_split_network(g), 2 * base + 1, sinks, n - 1)
     separator = tuple(v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach)
     if len(separator) != kappa:
@@ -369,7 +382,7 @@ def edge_connectivity(g: Digraph, base: int,
     if n <= 1:
         return 0, None
     lam, sink, reach = _certified_cut(_edge_network(g), base,
-                                      _orbit_minima(g, base, symmetries),
+                                      _sink_orbits(g, base, symmetries),
                                       len(g.adj[base]) + 1)
     cut = tuple((u, v) for u, v in g.edges() if u in reach and v not in reach)
     if len(cut) != lam:

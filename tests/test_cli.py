@@ -143,6 +143,23 @@ class TestAnalyze:
         assert calls == {"vertex_connectivity_transitive": 1,
                          "strongly_connected_components": 1}
 
+    @pytest.mark.parametrize("argv", [("analyze", "S4_MIXED"), ("analyze", "CP42"),
+                                      ("cp", "--n", "5", "--k", "2")],
+                             ids=("s4_mixed", "cp42", "cp52"))
+    def test_sink_orbits_computed_once(self, tmp_path, capsys, monkeypatch, argv):
+        # kappa and lambda share the orbit minima of the stabiliser translations
+        calls = []
+        original = digraph._orbit_minima
+        monkeypatch.setattr(digraph, "_orbit_minima",
+                            lambda *args: calls.append(args) or original(*args))
+        docs = {"S4_MIXED": S4_MIXED_SPEC, "CP42": CP42_SPEC}
+        argv = [write_spec(tmp_path, docs[a]) if a in docs else a for a in argv]
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        assert code == 0 and report["instance"]["connected"]
+        assert report["kappa"]["oracle"] < report["instance"]["vertex_count"] - 1
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("doc, env, field", [
         ({"family": "cp", "n": "x"}, None, "n must be"),
         (dict(S4_MIXED_SPEC, settings={"enumeration_cap": "big"}), None,
@@ -338,6 +355,20 @@ class TestCheck:
         assert code == 1
         assert "unknown theorem" in err
 
+    def test_unknown_theorem_is_rejected_before_the_spec(self, tmp_path, capsys,
+                                                         monkeypatch):
+        calls = []
+        for module in (perms, coset):
+            monkeypatch.setattr(module, "enumerate_closure",
+                                lambda *args: calls.append(args))
+        expected = ("error: unknown theorem 'nosuch'; choose from decomposition, "
+                    "corollary1, corollary1_1, hierarchical_gen, hier1, "
+                    "hierarchical_cayley, hierarchical_gen_c, edgec\n")
+        path = write_spec(tmp_path, CP42_SPEC)
+        for spec in (path, str(tmp_path / "missing.json")):
+            assert run(capsys, "check", "nosuch", spec) == (1, "", expected)
+        assert calls == []
+
     def test_missing_partition_is_exit_one(self, tmp_path, capsys):
         path = write_spec(tmp_path, CP42_SPEC)
         code, _, _ = run(capsys, "check", "decomposition", path)
@@ -392,6 +423,17 @@ class TestExport:
         code, _, _ = run(capsys, "export", path, "--format", "gml")
         assert code == 1
 
+    def test_invalid_format_is_rejected_before_the_spec(self, tmp_path, capsys,
+                                                        monkeypatch):
+        calls = []
+        for module in (perms, coset):
+            monkeypatch.setattr(module, "enumerate_closure",
+                                lambda *args: calls.append(args))
+        path = write_spec(tmp_path, CP42_SPEC)
+        assert run(capsys, "export", path, "--format", "bogus") == \
+            (1, "", "error: unknown export format 'bogus'; choose dot or edges\n")
+        assert calls == []
+
 
 class TestCpCommand:
     def test_emit_spec_round_trip(self, tmp_path, capsys):
@@ -425,3 +467,20 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main(["analyze"])  # missing spec path
         assert exc.value.code == 1
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_commands_after_usage_errors_print_the_same_bytes(self, tmp_path, capsys):
+        path = write_spec(tmp_path, CP42_SPEC)
+        commands = (["analyze", path], ["check", "edgec", path],
+                    ["cp", "--n", "4", "--k", "2", "--emit-spec"])
+        before = [run(capsys, *argv) for argv in commands]
+        assert [code for code, _, _ in before] == [0, 0, 0]
+        for bad in (["analyze"], ["analyze", path, "--bogus"], ["nosuch"],
+                    ["cp", "--n", "x", "--k", "2"], ["check", "edgec"], []):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(bad)
+            assert exc.value.code == 1
+            assert capsys.readouterr().err.startswith("usage: cosetkit")
+        assert [run(capsys, *argv) for argv in commands] == before

@@ -7,6 +7,7 @@ import pytest
 
 import helpers
 from corpus import CORPUS_NAMES, SMALL_NAMES, instance
+from cosetkit import digraph
 from cosetkit import (CapExceeded, CompleteDigraphError, CrossCheckError, Digraph,
                       NotStronglyConnected, atoms_bruteforce, compose,
                       e_atoms_bruteforce, edge_connectivity,
@@ -342,6 +343,24 @@ class TestStabiliserOrbits:
         for routine in (vertex_connectivity_transitive, edge_connectivity):
             with pytest.raises(CrossCheckError, match="not a permutation"):
                 routine(directed_cycle(6), 0, [[0, 1, 1, 3, 4, 5]])
+
+    def test_sinks_are_shared_and_new_symmetries_checked(self, monkeypatch):
+        calls = []
+        original = digraph._orbit_minima
+        monkeypatch.setattr(digraph, "_orbit_minima",
+                            lambda *args: calls.append(args) or original(*args))
+        g = Digraph([[(v - 1) % 6, (v + 1) % 6] for v in range(6)])
+        reflection = (0, 5, 4, 3, 2, 1)
+        assert vertex_connectivity_transitive(g, 0, [reflection])[0] == 2
+        assert edge_connectivity(g, 0, [list(reflection)])[0] == 2
+        assert len(calls) == 1
+        assert edge_connectivity(g, 0, ())[0] == 2
+        assert len(calls) == 2
+        swap = [0, 2, 1, 3, 4, 5]          # a bijection fixing 0
+        for routine in (vertex_connectivity_transitive, edge_connectivity):
+            with pytest.raises(CrossCheckError, match="not an automorphism"):
+                routine(g, 0, [swap])
+        assert len(calls) == 4
 
 
 class TestAtoms:

@@ -13,7 +13,9 @@ must equal a fresh build of it in vertex and edge count, κ and λ.
 Fuzzed spec documents on two to four points, some of them invalid, must
 end every command in exit code 0, 1 or 3 and never raise out of
 ``cli.main``.  Two ``analyze`` runs of one drawn spec in one process must
-print the same bytes.
+print the same bytes.  Each command line in a drawn sequence, valid or a
+usage error, must parse on the CLI's shared parser exactly as on a freshly
+built one.
 
 The one orbit routine both κ routes rest on, ``perms.orbit``, must equal
 sympy's orbits on random index permutations, and the flow routines' sinks,
@@ -231,6 +233,55 @@ def test_fuzzed_specs_end_in_an_exit_code(run):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv)
             assert code in (0, 1, 3), argv
+
+
+USAGE_ERRORS = ([], ["nosuch"], ["analyze"], ["analyze", "spec.json", "--bogus"],
+                ["check", "edgec"], ["export", "spec.json", "--format"],
+                ["cp", "--n", "4"], ["cp", "--n", "x", "--k", "2"], ["--timings"],
+                ["cp", "-h"])
+
+
+@st.composite
+def cli_argvs(draw):
+    """One command line: analyze, check, export or cp with a drawn subset
+    of its options in a drawn order, or a usage error."""
+    command = draw(st.sampled_from(["analyze", "check", "export", "cp", "usage"]))
+    if command == "usage":
+        return draw(st.sampled_from(USAGE_ERRORS))
+    word = st.sampled_from(["spec.json", "a|b,c", "b,a", "s0", "7"])
+    positional, options = {
+        "analyze": ([word], {"--timings": None}),
+        "check": ([st.sampled_from(THEOREM_IDS), word],
+                  {"--partition": word, "--order": word, "--sprime": word}),
+        "export": ([word], {"--format": st.sampled_from(["dot", "edges", "gml"])}),
+        "cp": ([], {"--n": st.integers(2, 9).map(str), "--k": st.integers(1, 9).map(str),
+                    "--emit-spec": None, "--timings": None}),
+    }[command]
+    chosen = [flag for flag in options
+              if flag in ("--n", "--k") or draw(st.booleans())]
+    argv = [command, *(draw(value) for value in positional)]
+    for flag in draw(st.permutations(chosen)):
+        argv += [flag] if options[flag] is None else [flag, draw(options[flag])]
+    return argv
+
+
+def _parsed(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(cli_argvs(), min_size=1, max_size=6))
+def test_shared_parser_parses_like_a_fresh_one(argvs):
+    shared = cli.build_parser()
+    for argv in argvs:
+        assert _parsed(shared, argv) == _parsed(cli.build_parser.__wrapped__(), argv), argv
+    assert cli.build_parser() is shared
 
 
 @st.composite
