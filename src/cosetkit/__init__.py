@@ -1,17 +1,15 @@
 """Cayley coset digraph connectivity toolkit."""
 
 from .atoms import (AtomAnalysis, AtomCandidate, AtomTheoryReport,
-                    base_atom_candidate, kappa_group_theoretic,
-                    subgroup_atom_scan, verify_atom_theory)
+                    kappa_group_theoretic, subgroup_atom_scan, verify_atom_theory)
 from .coset import (CosetDigraph, CosetDigraphSpec, build, dedupe_generators,
-                    generation_connectivity, labeled, stabiliser_translations,
-                    transpose_spec, verify_automorphism)
-from .cp import (CPParams, cp_build, cp_degree_profile, cp_spec, gamma,
-                 gamma_label, verify_neighbor_multiplier, verify_prefix_structure)
+                    generation_connectivity, stabiliser_translations, transpose_spec)
+from .cp import (CPParams, cp_degree_profile, cp_spec, gamma, gamma_label,
+                 verify_neighbor_multiplier, verify_prefix_structure)
 from .digraph import (AtomSet, CutCertificate, Digraph, atoms_bruteforce,
                       e_atoms_bruteforce, edge_connectivity, is_strongly_connected,
-                      neighbor_set, out_edge_count, strongly_connected_components,
-                      transpose, vertex_connectivity_transitive)
+                      neighbor_set, strongly_connected_components, transpose,
+                      vertex_connectivity_transitive)
 from .errors import (CapExceeded, CompleteDigraphError, CrossCheckError,
                      GroupError, NotStronglyConnected, SpecError)
 from .perms import (GroupContext, Permutation, SubgroupHandle,
@@ -21,7 +19,7 @@ from .perms import (GroupContext, Permutation, SubgroupHandle,
                     subgroup_generated, trivial_subgroup)
 from .theorems import (Hypothesis, HypothesisReport, check_decomposition,
                        check_hierarchical_gen, check_hierarchical_gen_c,
-                       check_tower, hierarchical_order_search, is_minimal,
+                       check_tower, hierarchical_order_search,
                        oracle_kappa, sub_instance, verify_edge_connectivity,
                        verify_hierarchical_cayley)
 

@@ -85,14 +85,6 @@ def subgroup_atom_scan(cd: CosetDigraph) -> tuple[list[AtomCandidate], list[Atom
     return forward, backward
 
 
-def base_atom_candidate(analysis: AtomAnalysis) -> AtomCandidate | None:
-    """Smallest winning candidate: the atom containing the base vertex on
-    this side, when the side achieves kappa."""
-    if not analysis.winning_candidates:
-        return None
-    return min(analysis.winning_candidates, key=lambda c: (c.size, c.labels))
-
-
 def kappa_group_theoretic(cd: CosetDigraph,
                           oracle_kappa: int | None = None) -> tuple[AtomAnalysis, AtomAnalysis]:
     """Vertex connectivity from the subgroup scan on both the digraph and

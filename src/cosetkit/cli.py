@@ -4,7 +4,7 @@ Commands:
   analyze <spec>                      full pipeline, JSON report on stdout
   check <theorem> <spec> [args]       one theorem checker, JSON report
   export <spec> --format dot|edges    graph export on stdout
-  cp --n N --k K [--emit-spec]        cycle-prefix shorthand
+  cp --n N --k K [--emit-spec]        analyze CP(n, k), checking the CP argument
 
 Machine output goes to stdout and is byte-deterministic for a fixed spec;
 the human-readable summary goes to stderr.  Exit codes: 0 success, 1 input
@@ -14,6 +14,7 @@ error, 2 internal inconsistency, 3 theorem hypotheses not satisfied.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -24,7 +25,7 @@ from . import atoms as atoms_mod
 from . import theorems
 from .coset import (CosetDigraph, CosetDigraphSpec, build,
                     generation_connectivity, oracle_kappa, stabiliser_translations)
-from .cp import CPParams, cp_spec
+from .cp import CPParams, cp_spec, verify_cp_argument
 from .digraph import DEFAULT_BRUTEFORCE_CAP, edge_connectivity
 from .errors import (CapExceeded, CrossCheckError, GroupError,
                      NotStronglyConnected, SpecError)
@@ -59,15 +60,17 @@ def _integer(value, what: str, minimum: int) -> int:
 
 
 def _enumeration_cap(settings: dict) -> int:
+    """The setting, validated, unless the environment variable overrides it."""
+    cap = _integer(settings.get("enumeration_cap", DEFAULT_ENUM_CAP),
+                   "settings.enumeration_cap", 1)
     env = os.environ.get(ENUM_CAP_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise SpecError(f"{ENUM_CAP_ENV} must be an integer, got {env!r}") from None
-        return _integer(value, ENUM_CAP_ENV, 1)
-    return _integer(settings.get("enumeration_cap", DEFAULT_ENUM_CAP),
-                    "settings.enumeration_cap", 1)
+    if env is None:
+        return cap
+    try:
+        value = int(env)
+    except ValueError:
+        raise SpecError(f"{ENUM_CAP_ENV} must be an integer, got {env!r}") from None
+    return _integer(value, ENUM_CAP_ENV, 1)
 
 
 def load_spec_document(path: str) -> tuple[CosetDigraphSpec, dict]:
@@ -165,13 +168,17 @@ def spec_to_document(spec: CosetDigraphSpec) -> dict:
     }
 
 
-def analyze_instance(spec: CosetDigraphSpec, settings: dict,
-                     with_timings: bool = False) -> tuple[dict, int]:
+def analyze_instance(spec: CosetDigraphSpec, settings: dict, with_timings: bool = False,
+                     verify=None) -> tuple[dict, int]:
+    """The report of ``spec`` and its exit code; ``verify``, when given, is
+    called on the built instance, untimed, and raises on a failed fact."""
     bruteforce_cap = settings.get("bruteforce_cap", DEFAULT_BRUTEFORCE_CAP)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     cd = build(spec)
     timings["build_s"] = round(time.perf_counter() - t0, 3)
+    if verify is not None:
+        verify(cd)
     t0 = time.perf_counter()
     connected, _, components = generation_connectivity(cd)
     timings["connectivity_s"] = round(time.perf_counter() - t0, 3)
@@ -267,19 +274,28 @@ def _parse_labels(raw: str) -> list[str]:
     return [lbl.strip() for lbl in raw.split(",") if lbl.strip()]
 
 
-def run_check(theorem: str, cd: CosetDigraph, args) -> theorems.HypothesisReport:
-    """Run the checker ``theorem``, one of ``theorems.THEOREM_IDS``."""
-    if theorem == "decomposition":
+def run_check(args) -> theorems.HypothesisReport:
+    """Run the checker ``args.theorem`` on the instance of ``args.spec``.
+    Its options are checked first, so a usage error reads no spec."""
+    theorem = args.theorem
+    if theorem not in theorems.THEOREM_IDS:
+        raise SpecError(f"unknown theorem {theorem!r}; choose from "
+                        f"{', '.join(theorems.THEOREM_IDS)}")
+    if theorem in ("decomposition", "corollary1", "corollary1_1"):
         if args.partition is None:
-            raise SpecError("check decomposition requires --partition R1|R2")
+            usage = "R1|R2" if theorem == "decomposition" else "S1|S2|..."
+            raise SpecError(f"check {theorem} requires --partition {usage}")
         blocks = _parse_blocks(args.partition)
-        if len(blocks) != 2:
+        if theorem == "decomposition" and len(blocks) != 2:
             raise SpecError("decomposition takes exactly two blocks R1|R2")
+    if theorem == "hierarchical_gen_c" and (args.order is None or args.sprime is None):
+        raise SpecError("check hierarchical_gen_c requires --order (S, in "
+                        "order) and --sprime (S')")
+    cd = build(load_spec_document(args.spec)[0])
+    if theorem == "decomposition":
         return theorems.check_decomposition(cd, blocks[0], blocks[1])
     if theorem in ("corollary1", "corollary1_1"):
-        if args.partition is None:
-            raise SpecError(f"check {theorem} requires --partition S1|S2|...")
-        return theorems.check_tower(cd, _parse_blocks(args.partition), theorem)
+        return theorems.check_tower(cd, blocks, theorem)
     if theorem in ("hierarchical_gen", "hier1"):
         variant = "standard" if theorem == "hierarchical_gen" else "hier1"
         ordering = None if args.order is None else _parse_labels(args.order)
@@ -287,22 +303,14 @@ def run_check(theorem: str, cd: CosetDigraph, args) -> theorems.HypothesisReport
     if theorem == "hierarchical_cayley":
         return theorems.verify_hierarchical_cayley(cd)
     if theorem == "hierarchical_gen_c":
-        if args.order is None or args.sprime is None:
-            raise SpecError("check hierarchical_gen_c requires --order (S, in "
-                            "order) and --sprime (S')")
         return theorems.check_hierarchical_gen_c(cd, _parse_labels(args.order),
                                                  _parse_labels(args.sprime))
     return theorems.verify_edge_connectivity(cd)        # "edgec"
 
 
 def cmd_check(args) -> int:
-    if args.theorem not in theorems.THEOREM_IDS:
-        raise SpecError(f"unknown theorem {args.theorem!r}; choose from "
-                        f"{', '.join(theorems.THEOREM_IDS)}")
-    spec, _ = load_spec_document(args.spec)
-    cd = build(spec)
-    report = run_check(args.theorem, cd, args)
-    sys.stdout.write(json_bytes(report.to_json()))
+    report = run_check(args)
+    sys.stdout.write(json_bytes(dataclasses.asdict(report)))
     failed = [h for h in report.hypotheses if not h.holds]
     if failed:
         detail = "; ".join(f"{h.description}" +
@@ -357,7 +365,8 @@ def cmd_cp(args) -> int:
     if args.emit_spec:
         sys.stdout.write(json_bytes(spec_to_document(spec)))
         return EXIT_OK
-    report, code = analyze_instance(spec, {}, with_timings=args.timings)
+    report, code = analyze_instance(spec, {}, with_timings=args.timings,
+                                    verify=functools.partial(verify_cp_argument, params))
     sys.stdout.write(json_bytes(report))
     print(_summarize_analysis(report), file=sys.stderr)
     return code

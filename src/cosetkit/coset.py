@@ -15,7 +15,7 @@ from .digraph import Digraph, transpose, vertex_connectivity_transitive
 from .errors import CrossCheckError, GroupError
 from .perms import (DEFAULT_ENUM_CAP, GroupContext, Permutation, SubgroupHandle,
                     double_coset_cosets, double_coset_index, enumerate_closure, inverse,
-                    left_coset_reps, print_cycles, subgroup_generated, trivial_subgroup)
+                    left_coset_reps, subgroup_generated, trivial_subgroup)
 from .perms import compose  # noqa: F401  (kept importable as coset.compose)
 
 
@@ -38,13 +38,6 @@ class CosetDigraphSpec:
             if p.degree != self.degree:
                 raise GroupError(f"connection permutation {lbl!r} has degree "
                                  f"{p.degree} != {self.degree}")
-
-
-def labeled(perms, labels=None) -> tuple[tuple[str, Permutation], ...]:
-    """Pair permutations with labels, defaulting to cycle notation."""
-    if labels is None:
-        return tuple((print_cycles(p), p) for p in perms)
-    return tuple(zip(labels, perms))
 
 
 class CosetDigraph:
@@ -225,20 +218,6 @@ def oracle_kappa(cd: CosetDigraph) -> int:
         cd._kappa, _ = vertex_connectivity_transitive(cd.graph, cd.base_vertex,
                                                       stabiliser_translations(cd))
     return cd._kappa
-
-
-def verify_automorphism(cd: CosetDigraph, g: Permutation) -> bool:
-    """True iff left translation by g preserves every labeled edge class."""
-    if g not in cd.group:
-        raise GroupError(f"{g} is not an element of G")
-    phi = cd.left_translation(cd.group.id_of(g))
-    if len(set(phi)) != len(phi):
-        return False
-    for lbl in cd.labels:
-        rows = cd.successors(lbl)
-        if any(sorted(phi[v] for v in row) != rows[phi[u]] for u, row in enumerate(rows)):
-            return False
-    return True
 
 
 def transpose_spec(cd: CosetDigraph) -> CosetDigraph:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .coset import CosetDigraph, CosetDigraphSpec, build
+from .coset import CosetDigraph, CosetDigraphSpec
 from .errors import CrossCheckError, GroupError
 from .perms import DEFAULT_ENUM_CAP, Permutation, SubgroupHandle, normalizes
 
@@ -54,10 +54,6 @@ def cp_spec(p: CPParams, enumeration_cap: int = DEFAULT_ENUM_CAP) -> CosetDigrap
     connection = tuple((gamma_label(j), gamma(j, n)) for j in range(2, n - k + 2))
     return CosetDigraphSpec(n, (transposition, full_cycle), subgroup_gens,
                             connection, enumeration_cap)
-
-
-def cp_build(p: CPParams, enumeration_cap: int = DEFAULT_ENUM_CAP) -> CosetDigraph:
-    return build(cp_spec(p, enumeration_cap))
 
 
 def cp_degree_profile(p: CPParams, cd: CosetDigraph) -> dict[str, int]:
@@ -117,6 +113,19 @@ def verify_prefix_structure(p: CPParams, cd: CosetDigraph) -> PrefixStructureRep
     if not _labeled_bfs_isomorphic(cd, pairs):
         raise CrossCheckError(f"G' instance is not isomorphic to CP({m},1)")
     return PrefixStructureReport(True, gprime_count, f"CP({m},1)", True)
+
+
+def verify_cp_argument(p: CPParams, cd: CosetDigraph) -> None:
+    """The facts of the paper's proof that CP(n, k) is optimally connected:
+    degree profile, multiplier for F = H and F = G', prefix structure."""
+    cp_degree_profile(p, cd)
+    gprime = cd.closure(gamma_label(j) for j in range(2, p.n - p.k + 1))
+    for name, f in (("H", cd.subgroup), ("G'", gprime)):
+        if not verify_neighbor_multiplier(p, f, cd):
+            raise CrossCheckError(f"F = {name} does not have |F/H| * k neighbors "
+                                  f"through gamma({p.n - p.k + 1})")
+    if 1 < p.k < p.n - 1:
+        verify_prefix_structure(p, cd)
 
 
 def _labeled_bfs_isomorphic(cd: CosetDigraph, pairs) -> bool:

@@ -466,8 +466,3 @@ def e_atoms_bruteforce(g: Digraph, lam: int,
         raise CrossCheckError("no e-atom found in a strongly connected digraph")
     return AtomSet(members)
 
-
-def out_edge_count(g: Digraph, vertices: Iterable[int]) -> int:
-    """Number of edges leaving the vertex set."""
-    inside = set(vertices)
-    return sum(w not in inside for v in inside for w in g.adj[v])

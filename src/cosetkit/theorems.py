@@ -37,17 +37,6 @@ class HypothesisReport:
     computed_kappa: int | None
     consistent: bool
 
-    def to_json(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "hypotheses": [{"description": h.description, "holds": h.holds,
-                            "witness": h.witness} for h in self.hypotheses],
-            "applicable": self.applicable,
-            "implied_bound": self.implied_bound,
-            "computed_kappa": self.computed_kappa,
-            "consistent": self.consistent,
-        }
-
 
 def sub_instance(cd: CosetDigraph, labels) -> tuple[Digraph, tuple[tuple[int, ...], ...]]:
     """The instance on G' = <H, labels> with the same H, read off ``cd``,
@@ -234,12 +223,6 @@ def _ordering_exists(ordering) -> Hypothesis:
     return Hypothesis("a hierarchical ordering exists", ordering is not None,
                       "no generator ordering grows at every step" if ordering is None
                       else ",".join(ordering))
-
-
-def is_minimal(cd: CosetDigraph) -> bool:
-    """True iff no proper subset of the connection set generates G with H."""
-    return all(len(cd.closure(lbl for lbl in cd.labels if lbl != dropped))
-               < len(cd.group) for dropped in cd.labels)
 
 
 def check_hierarchical_gen(cd: CosetDigraph, ordering=None,

@@ -13,7 +13,7 @@ from functools import lru_cache
 from cosetkit import (CosetDigraph, CosetDigraphSpec, Permutation, build,
                       compose, enumerate_closure, generation_connectivity,
                       parse_cycles, subgroup_generated, trivial_subgroup)
-from cosetkit.cp import CPParams, cp_build, cp_spec
+from cosetkit.cp import CPParams, cp_spec
 
 # quaternion group acting on itself by right multiplication;
 # point order: 1, -1, i, -i, j, -j, k, -k
@@ -140,4 +140,4 @@ def instance(name: str) -> CosetDigraph:
 
 @lru_cache(maxsize=None)
 def cp_instance(n: int, k: int) -> CosetDigraph:
-    return cp_build(CPParams(n, k))
+    return build(cp_spec(CPParams(n, k)))

@@ -13,6 +13,11 @@ the instance on <H, S0> from a spec of its own, enumerating <H, S0> afresh,
 as the reference for the sub-instance read off the parent instance.  The
 orbit-minima oracle joins the vertices by union-find, as the reference for
 the flow routines' sinks, which now come from ``perms.orbit``.
+
+The last block holds small readers of a built instance that only tests
+call: the smallest winning atom candidate, the automorphism check of a
+left translation, the out-edge count of a vertex set and the minimality
+of the connection set.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from cosetkit import (AtomCandidate, CosetDigraphSpec, build, inverse, subgroup_atom_scan,
-                      transpose_spec)
+from cosetkit import (AtomCandidate, CosetDigraphSpec, GroupError, build, inverse,
+                      subgroup_atom_scan, transpose_spec)
 
 
 def apply_then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -352,3 +357,37 @@ def is_strongly_connected_oracle(adj) -> bool:
         for v in row:
             radj[v].append(u)
     return len(reachable(adj, 0)) == n and len(reachable(radj, 0)) == n
+
+
+def base_atom_candidate(analysis) -> AtomCandidate | None:
+    """Smallest winning candidate: the atom containing the base vertex on
+    this side, when the side achieves kappa."""
+    if not analysis.winning_candidates:
+        return None
+    return min(analysis.winning_candidates, key=lambda c: (c.size, c.labels))
+
+
+def verify_automorphism(cd, g) -> bool:
+    """True iff left translation by g preserves every labeled edge class."""
+    if g not in cd.group:
+        raise GroupError(f"{g} is not an element of G")
+    phi = cd.left_translation(cd.group.id_of(g))
+    if len(set(phi)) != len(phi):
+        return False
+    for lbl in cd.labels:
+        rows = cd.successors(lbl)
+        if any(sorted(phi[v] for v in row) != rows[phi[u]] for u, row in enumerate(rows)):
+            return False
+    return True
+
+
+def out_edge_count(g, vertices) -> int:
+    """Number of edges leaving the vertex set."""
+    inside = set(vertices)
+    return sum(w not in inside for v in inside for w in g.adj[v])
+
+
+def is_minimal(cd) -> bool:
+    """True iff no proper subset of the connection set generates G with H."""
+    return all(len(cd.closure(lbl for lbl in cd.labels if lbl != dropped))
+               < len(cd.group) for dropped in cd.labels)

@@ -16,13 +16,14 @@ from cosetkit import (Permutation, atoms_bruteforce, build, canonical_coset_rep,
                       edge_connectivity, enumerate_closure,
                       generation_connectivity, hierarchical_order_search,
                       inverse, kappa_group_theoretic, neighbor_set,
-                      out_edge_count, parse_cycles, stabiliser_translations,
+                      parse_cycles, stabiliser_translations,
                       subgroup_generated, transpose_spec, trivial_subgroup,
-                      verify_atom_theory, verify_automorphism,
+                      verify_atom_theory,
                       verify_edge_connectivity,
                       verify_hierarchical_cayley,
                       vertex_connectivity_transitive)
 from cosetkit.cp import CPParams, cp_degree_profile, gamma_label
+from helpers import out_edge_count, verify_automorphism
 
 _MODULE_T0 = time.perf_counter()
 

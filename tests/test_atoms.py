@@ -8,12 +8,13 @@ import pytest
 import helpers
 from corpus import CORPUS_NAMES, CORPUS_SPECS, SMALL_NAMES, instance, z6_disconnected_spec
 from cosetkit import (CapExceeded, CosetDigraphSpec, CrossCheckError, GroupError,
-                      base_atom_candidate, build, enumerate_closure,
+                      build, enumerate_closure,
                       generation_connectivity, kappa_group_theoretic, neighbor_set,
                       parse_cycles, stabiliser_translations, subgroup_atom_scan,
                       transpose, transpose_spec, vertex_connectivity_transitive,
                       verify_atom_theory)
 from cosetkit import atoms, coset, digraph, perms
+from helpers import base_atom_candidate
 
 
 class TestSubgroupScan:

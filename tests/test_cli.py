@@ -6,8 +6,8 @@ from collections import Counter
 
 import pytest
 
-from cosetkit import cli, coset, digraph, perms
-from cosetkit.cp import gamma_label
+from cosetkit import cli, coset, cp, digraph, perms
+from cosetkit.cp import CPParams, gamma_label
 
 S4_MIXED_SPEC = {
     "degree": 4,
@@ -52,6 +52,18 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_enumerations(monkeypatch, calls, enumerate_too=True):
+    """Append each ``enumerate_closure`` call's arguments to ``calls``;
+    with ``enumerate_too`` false, the group is not enumerated at all."""
+    original = perms.enumerate_closure
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args) if enumerate_too else None
+    for module in (perms, coset):
+        monkeypatch.setattr(module, "enumerate_closure", counted)
 
 
 class TestAnalyze:
@@ -198,6 +210,24 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", path)
         assert code == 1
         assert "cap" in err
+
+    @pytest.mark.parametrize("env", [None, "100"], ids=("no_env", "env_set"))
+    def test_malformed_cap_setting_is_rejected_with_or_without_env(
+            self, tmp_path, capsys, monkeypatch, env):
+        # the setting is validated before the environment variable overrides it
+        if env is not None:
+            monkeypatch.setenv(cli.ENUM_CAP_ENV, env)
+        path = write_spec(tmp_path, dict(CP42_SPEC, settings={"enumeration_cap": "x"}))
+        assert run(capsys, "analyze", path) == (
+            1, "", "error: settings.enumeration_cap must be an integer >= 1, got 'x'\n")
+
+    def test_env_cap_overrides_a_valid_setting(self, tmp_path, capsys, monkeypatch):
+        path = write_spec(tmp_path, dict(CP42_SPEC, settings={"enumeration_cap": 10}))
+        code, _, err = run(capsys, "analyze", path)
+        assert code == 1 and "cap" in err
+        monkeypatch.setenv(cli.ENUM_CAP_ENV, "100")
+        code, out, _ = run(capsys, "analyze", path)
+        assert code == 0 and json.loads(out)["instance"]["group_order"] == 24
 
     def test_timings_flag_populates(self, tmp_path, capsys):
         path = write_spec(tmp_path, CP42_SPEC)
@@ -369,6 +399,35 @@ class TestCheck:
             assert run(capsys, "check", "nosuch", spec) == (1, "", expected)
         assert calls == []
 
+    @pytest.mark.parametrize("argv, line", [
+        (["decomposition"], "check decomposition requires --partition R1|R2"),
+        (["corollary1"], "check corollary1 requires --partition S1|S2|..."),
+        (["corollary1_1"], "check corollary1_1 requires --partition S1|S2|..."),
+        (["hierarchical_gen_c", "--sprime", "a"], "check hierarchical_gen_c requires "
+         "--order (S, in order) and --sprime (S')"),
+        (["hierarchical_gen_c", "--order", "a"], "check hierarchical_gen_c requires "
+         "--order (S, in order) and --sprime (S')"),
+        (["corollary1", "--partition", "a||b"], "empty block in partition 'a||b'"),
+        (["decomposition", "--partition", "a|,|b"], "empty block in partition 'a|,|b'"),
+        (["decomposition", "--partition", "a|b|c"],
+         "decomposition takes exactly two blocks R1|R2"),
+        (["decomposition", "--partition", "a,b"],
+         "decomposition takes exactly two blocks R1|R2"),
+    ], ids=("decomposition", "corollary1", "corollary1_1", "gen_c_no_order",
+            "gen_c_no_sprime", "empty_block", "empty_block_commas", "three_blocks",
+            "one_block"))
+    def test_usage_errors_are_rejected_before_the_spec(self, tmp_path, capsys,
+                                                       monkeypatch, argv, line):
+        # a missing or malformed option fails before G is enumerated; with a
+        # missing spec as well, the error names the option
+        calls = []
+        count_enumerations(monkeypatch, calls, enumerate_too=False)
+        path = write_spec(tmp_path, CP42_SPEC)
+        for spec in (path, str(tmp_path / "missing.json")):
+            got = run(capsys, "check", argv[0], spec, *argv[1:])
+            assert got == (1, "", f"error: {line}\n")
+        assert calls == []
+
     def test_missing_partition_is_exit_one(self, tmp_path, capsys):
         path = write_spec(tmp_path, CP42_SPEC)
         code, _, _ = run(capsys, "check", "decomposition", path)
@@ -456,6 +515,44 @@ class TestCpCommand:
         report = json.loads(out)
         assert report["instance"]["vertex_count"] == 4
         assert report["kappa"]["oracle"] == 3
+
+    @pytest.mark.parametrize("n, k, prefix", [(5, 2, 1), (5, 1, 0), (4, 3, 0), (6, 3, 1)])
+    def test_cp_runs_the_cp_argument(self, capsys, monkeypatch, n, k, prefix):
+        # the degree profile, the multiplier for F = H and F = G', and the
+        # prefix structure when 1 < k < n-1, all on the one enumerated G
+        calls, facts = [], Counter()
+        count_enumerations(monkeypatch, calls)
+        for name in ("cp_degree_profile", "verify_neighbor_multiplier",
+                     "verify_prefix_structure"):
+            def counted(*args, _name=name, _original=getattr(cp, name)):
+                facts[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(cp, name, counted)
+        code, out, err = run(capsys, "cp", "--n", str(n), "--k", str(k))
+        assert code == 0 and "(agree)" in err
+        assert json.loads(out)["kappa"]["oracle"] == n - 1
+        assert len(calls) == 1
+        assert facts == Counter(cp_degree_profile=1, verify_neighbor_multiplier=2,
+                                verify_prefix_structure=prefix)
+        run(capsys, "cp", "--n", str(n), "--k", str(k), "--emit-spec")
+        assert sum(facts.values()) == 3 + prefix
+
+    @pytest.mark.parametrize("fact", ["degree_profile", "multiplier", "normalizer",
+                                      "prefix_iso"])
+    def test_a_failed_cp_fact_is_exit_two(self, capsys, monkeypatch, fact):
+        if fact == "degree_profile":
+            original = cp.cp_degree_profile
+            monkeypatch.setattr(cp, "cp_degree_profile",
+                                lambda p, cd: original(CPParams(p.n, p.k + 1), cd))
+        elif fact == "multiplier":
+            monkeypatch.setattr(cp, "verify_neighbor_multiplier", lambda p, f, cd: False)
+        elif fact == "normalizer":
+            monkeypatch.setattr(cp, "normalizes", lambda g, h: False)
+        else:
+            monkeypatch.setattr(cp, "_labeled_bfs_isomorphic", lambda cd, pairs: False)
+        code, out, err = run(capsys, "cp", "--n", "5", "--k", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("internal inconsistency: ") and err.count("\n") == 1
 
     def test_bad_params_exit_one(self, capsys):
         code, _, _ = run(capsys, "cp", "--n", "4", "--k", "9")

@@ -13,8 +13,8 @@ from cosetkit import (CosetDigraphSpec, CrossCheckError, GroupContext, GroupErro
                       build, compose, dedupe_generators, double_coset,
                       enumerate_closure, generation_connectivity, inverse,
                       is_strongly_connected, parse_cycles, subgroup_generated,
-                      transpose, transpose_spec, trivial_subgroup,
-                      verify_automorphism)
+                      transpose, transpose_spec, trivial_subgroup)
+from helpers import verify_automorphism
 
 
 def perm(text, n):

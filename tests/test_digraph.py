@@ -11,10 +11,11 @@ from cosetkit import digraph
 from cosetkit import (CapExceeded, CompleteDigraphError, CrossCheckError, Digraph,
                       NotStronglyConnected, atoms_bruteforce, compose,
                       e_atoms_bruteforce, edge_connectivity,
-                      is_strongly_connected, neighbor_set, out_edge_count,
+                      is_strongly_connected, neighbor_set,
                       stabiliser_translations, strongly_connected_components,
                       transpose, vertex_connectivity_transitive)
 from cosetkit.digraph import _UnitFlow, _vertex_split_network
+from helpers import out_edge_count
 
 
 def directed_cycle(n):

@@ -35,6 +35,7 @@ import json
 import os
 import tempfile
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -47,7 +48,7 @@ from cosetkit import (CosetDigraphSpec, Digraph, NotStronglyConnected,  # noqa: 
                       generation_connectivity, kappa_group_theoretic, oracle_kappa,
                       parse_cycles, print_cycles, stabiliser_translations,
                       sub_instance, subgroup_generated, transpose_spec,
-                      vertex_connectivity_transitive)
+                      verify_atom_theory, vertex_connectivity_transitive)
 from cosetkit.digraph import _edge_network, _orbit_minima, _vertex_split_network  # noqa: E402
 from cosetkit.perms import orbit  # noqa: E402
 from cosetkit.theorems import THEOREM_IDS  # noqa: E402
@@ -150,6 +151,41 @@ def test_orbit_minima_equal_union_find(spec):
                        [cd.left_translation(h) for h in cd.subgroup.ids]):
         assert _orbit_minima(cd.graph, cd.base_vertex, symmetries) == \
             helpers.orbit_minima_oracle(cd.graph, cd.base_vertex, symmetries)
+
+
+@st.composite
+def thin_cut_specs(draw):
+    """Cayley digraphs of Z_n x Z_m, as permutations of n + m points, whose
+    connection set is all of {0} x Z_m (but the identity) and A x Z_m, for
+    some A in Z_n - 0 that generates Z_n with 1 <= |A| <= n - 2.  The block
+    {0} x Z_m has the |A| m out-neighbours A x Z_m, fewer than the degree
+    m - 1 + |A| m, and misses a vertex, so kappa < d by construction.  At
+    most 18 vertices and at most 12 connection elements, the scan's cap."""
+    n, m = draw(st.sampled_from([(n, m) for n in range(3, 10) for m in range(2, 7)
+                                 if n * m <= 18]))
+    most = min(n - 2, (13 - m) // m)
+    a = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=most)
+             .filter(lambda a: gcd(n, *a) == 1))
+
+    def element(x, y):
+        return Permutation([(i + x) % n + 1 for i in range(n)]
+                           + [n + (j + y) % m + 1 for j in range(m)])
+
+    pairs = [(0, y) for y in range(1, m)] + [(x, y) for x in sorted(a) for y in range(m)]
+    return CosetDigraphSpec(n + m, (element(1, 0), element(0, 1)), (),
+                            tuple((f"{x},{y}", element(x, y)) for x, y in pairs))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(thin_cut_specs())
+def test_thin_cut_instances_keep_the_atom_theory(spec):
+    cd = build(spec)
+    kappa = oracle_kappa(cd)
+    forward, _ = kappa_group_theoretic(cd)
+    assert kappa < cd.degree
+    assert kappa == helpers.vertex_connectivity_oracle(cd.graph) == forward.kappa_group
+    assert edge_connectivity(cd.graph, cd.base_vertex)[0] == cd.degree
+    assert verify_atom_theory(cd).kappa == kappa
 
 
 @st.composite

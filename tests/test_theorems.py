@@ -9,9 +9,10 @@ from corpus import (HIERARCHICAL_CAYLEY_NAMES, SMALL_NAMES, cayley_spec,
 from cosetkit import (CosetDigraphSpec, GroupError, build, check_decomposition,
                       check_hierarchical_gen, check_hierarchical_gen_c,
                       check_tower, hierarchical_order_search, inverse,
-                      is_minimal, oracle_kappa, parse_cycles,
+                      oracle_kappa, parse_cycles,
                       verify_edge_connectivity, verify_hierarchical_cayley)
 from cosetkit.cp import gamma_label
+from helpers import is_minimal
 
 
 class TestDecomposition:
