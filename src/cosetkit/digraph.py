@@ -1,15 +1,14 @@
 """Generic finite digraph engine.
 
 Strong connectivity, neighbor sets, exact vertex/edge connectivity of
-vertex-transitive digraphs by one merged-source augmenting-path pass from
-one base vertex over the orbits of the given automorphisms fixing it, with
-a minimum-cut certificate from one re-run max-flow, and brute-force atom /
-e-atom enumeration.
+vertex-transitive digraphs by merged-source augmenting-path passes from one
+base vertex over the orbits of the given automorphisms fixing it (for κ, over
+a breadth-first prefix on each side), with a minimum-cut certificate from a
+re-run max-flow, and brute-force atom / e-atom enumeration.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -142,14 +141,11 @@ def strongly_connected_components(g: Digraph) -> list[list[int]]:
             continue
         members = [u]
         comp[u] = len(comps)
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
+        for x in members:               # the list grows as it is read
             for v in gt.adj[x]:
                 if comp[v] < 0:
                     comp[v] = len(comps)
                     members.append(v)
-                    queue.append(v)
         comps.append(sorted(members))
     return sorted(comps, key=lambda c: c[0])
 
@@ -196,63 +192,77 @@ class _UnitFlow:
     def reset(self) -> None:
         self.cap[:] = self._cap0
 
-    def merged_pass(self, source: int, sinks: Iterable[int], bound: int) -> int:
+    def merged_pass(self, source: int, sinks: Iterable[int], bound: int,
+                    reverse: bool = False) -> int:
         """Least over ``sinks`` of the max flow into each from ``source`` and
-        the sinks before it, each stopped at the least so far (at first
-        ``bound``), in one flow never reset (Hao & Orlin).  A sink gets
-        augmenting paths from backward breadth-first searches that stop at
-        the first source-set node, then joins the source set: only the sink
-        node, so in-node 2t on the vertex-split network.  Exact from a fixed
-        source s in any sink order: all flow runs between source-set nodes,
-        so a step's value is the min cut from the source set to its sink, at
-        least the one from s; for a min cut (X, Y) from s to a minimising
-        sink, the first sink not in X is in Y and the earlier ones in X, so
-        that step is at most the cut.  A separator vertex v has 2v in X and
+        the sinks before it (out of each into them, with ``reverse``), each
+        stopped at the least so far (at first ``bound``), in one flow never
+        reset (Hao & Orlin).  After the one-arc paths, each augmenting path
+        comes from searches from both ends, growing the smaller frontier by a
+        layer.  Only the sink node then joins the merged set: in-node 2t
+        (out-node 2t+1 with ``reverse``) on a split network.  Exact in any
+        sink order: a step is a min cut between the merged set and its sink,
+        at least the one from ``source``; for a min cut (X, Y) from ``source``
+        to a minimising sink, the first sink in Y follows only sinks in X, so
+        its step is at most the cut.  A separator vertex v has 2v in X and
         2v+1 in Y, so 2v+1 may not join."""
         to, cap, head = self.to, self.cap, self.head
-        merged = [False] * self.n
-        merged[source] = True
-        via = [0] * self.n              # arc from a searched node towards the sink
-        seen = [0] * self.n             # number of the last search to reach a node
-        search, best = 0, bound
+        b = 0 if reverse else 1         # for an arc e out of a node, the sink's
+        f = b ^ 1                       # search walks e ^ b, the merged set's e ^ f
+        # search tree arcs (-1 at roots), last search at a node (joined if merged)
+        via, fvia, seen, fseen = [0] * self.n, [0] * self.n, [0] * self.n, [0] * self.n
+        joined, members, search, best = 1 << 62, [source], 0, bound
+        fseen[source], fvia[source] = joined, -1
         for t in sinks:
-            flow = 0
+            flow, via[t] = 0, -1
+            for e in head[t]:           # one-arc paths from merged nodes
+                while fseen[to[e]] == joined and cap[e ^ b] > 0 and flow < best:
+                    cap[e ^ b] -= 1
+                    cap[e ^ f] += 1
+                    flow += 1
             while flow < best:
                 search += 1
-                seen[t], queue, hit = search, [t], -1
-                for u in queue:         # the list grows as it is read
-                    for e in head[u]:
-                        x = to[e]
-                        if seen[x] != search and cap[e ^ 1] > 0:
-                            seen[x], via[x] = search, e ^ 1
-                            if merged[x]:
-                                hit = x
-                                break
-                            queue.append(x)
-                    if hit >= 0:
-                        break
-                if hit < 0:
-                    break               # no source-set node is reachable
-                while hit != t:
-                    e = via[hit]
-                    cap[e] -= 1
-                    cap[e ^ 1] += 1
-                    hit = to[e]
+                seen[t], back, fore, meet = search, [t], members, -1
+                while meet < 0 and back and fore:
+                    if len(back) <= len(fore):
+                        front, mine, tree, other, flip = back, seen, via, fseen, b
+                    else:
+                        front, mine, tree, other, flip = fore, fseen, fvia, seen, f
+                    layer = []
+                    for u in front:
+                        for e in head[u]:
+                            x = to[e]
+                            if mine[x] < search and cap[e ^ flip] > 0:
+                                mine[x], tree[x] = search, e ^ flip
+                                if other[x] >= search:
+                                    meet = x
+                                    break
+                                layer.append(x)
+                        if meet >= 0:
+                            break
+                    back, fore = (layer, fore) if front is back else (back, layer)
+                if meet < 0:
+                    break               # no merged node is reachable
+                for x, tree, step in ((meet, via, f), (meet, fvia, b)):
+                    while tree[x] >= 0:         # augment from the meeting node
+                        e = tree[x]
+                        cap[e] -= 1
+                        cap[e ^ 1] += 1
+                        x = to[e ^ step]
                 flow += 1
             best = min(best, flow)
-            merged[t] = True
+            fseen[t], fvia[t] = joined, -1
+            members.append(t)
         return best
 
     def residual_reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
+        seen, order = {s}, [s]
+        for u in order:                 # the list grows as it is read
             for e in self.head[u]:
                 v = self.to[e]
                 if self.cap[e] > 0 and v not in seen:
                     seen.add(v)
-                    queue.append(v)
+                    order.append(v)
         return seen
 
 
@@ -313,7 +323,7 @@ def _orbit_minima(g: Digraph, base: int,
 def _sink_orbits(g: Digraph, base: int,
                  symmetries: Iterable[Sequence[int]]) -> tuple[int, ...]:
     """``_orbit_minima``, computed once per digraph, base and symmetries, so
-    that κ and λ from one base share their sinks and the symmetry checks."""
+    that κ and λ from one base share the symmetry checks, and λ's sinks."""
     key = (base, tuple(map(tuple, symmetries)))
     sinks = g._sinks.get(key)
     if sinks is None:
@@ -321,50 +331,72 @@ def _sink_orbits(g: Digraph, base: int,
     return sinks
 
 
-def _certified_cut(net: _UnitFlow, source: int, sinks: Sequence[int],
-                   bound: int) -> tuple[int, int, set[int]]:
-    """Least max-flow from ``source`` into one of ``sinks`` by the merged
-    pass from ``bound``, with its certificate: the first sink in ascending
-    order whose fresh flow, the pass with that sink alone stopped at best + 1,
-    equals it, and the source's residual-reachable set in that flow (the least
-    source side of a minimum cut, the same for every maximum flow).  A fresh
-    flow below the pass's value, or none equal to it, raises CrossCheckError."""
-    best = net.merged_pass(source, sinks, bound)
+def _prefix_sinks(net: _UnitFlow, base: int, symmetries: Sequence[Sequence[int]],
+                  reverse: bool) -> list[int]:
+    """The in-node (out-node and reversed edges with ``reverse``) on ``net`` of
+    the first of each orbit of ``symmetries`` among the non-neighbors of
+    ``base`` in its first 2d + 1 places in breadth-first order."""
+    def row(u: int) -> list[int]:
+        return [net.to[e] >> 1 for e in net.head[2 * u + 1 - reverse] if e & 1 == reverse]
+
+    order, sinks, covered = [base], [], {base, *row(base)}
+    size = 2 * len(covered) - 1         # 2d + 1, d the degree of base
+    for u in order:                     # the list grows as it is read
+        for v in row(u):
+            if len(order) < size and v not in order:
+                order.append(v)
+                if v not in covered:
+                    sinks.append(2 * v + reverse)
+                    covered.update(orbit(symmetries, [v]))
+    return sinks
+
+
+def _certificate(net: _UnitFlow, pairs: Sequence[tuple[int, int]], best: int,
+                 bound: int) -> tuple[tuple[int, int], set[int]]:
+    """The first of the (source, sink) ``pairs`` whose fresh max-flow, stopped
+    at best + 1, equals ``best``, a merged pass's least value below ``bound``,
+    with its source's residual-reachable set: the least source side of a
+    minimum cut.  Else, or on a flow below ``best``, CrossCheckError."""
     if best >= bound:
         raise CrossCheckError(f"no sink has a flow below the bound {bound}")
-    for t in sorted(sinks):
+    for s, t in pairs:
         net.reset()
-        flow = net.merged_pass(source, (t,), best + 1)
+        flow = net.merged_pass(s, (t,), best + 1)
         if flow < best:
             raise CrossCheckError(f"a re-run max-flow of {flow} lies below the "
                                   f"merged pass's minimum {best}: the pass missed a cut")
         if flow == best:
-            return best, t, net.residual_reachable(source)
+            return (s, t), net.residual_reachable(s)
     raise CrossCheckError("no re-run max-flow reaches the merged pass's minimum")
 
 
 def vertex_connectivity_transitive(g: Digraph, base: int,
-                                   symmetries: Iterable[Sequence[int]] = ()
+                                   symmetries: Sequence[Sequence[int]] = ()
                                    ) -> tuple[int, CutCertificate | None]:
-    """Vertex connectivity of a vertex-transitive digraph: the least local
-    connectivity from ``base`` to a non-neighbor, with a minimum separator
-    as certificate.  Complete digraphs yield n-1 with no certificate.
-
-    ``symmetries`` are automorphisms fixing ``base`` (vertex permutations,
-    verified here); one sink per orbit of the group they generate suffices,
-    and the certificate is the one that every vertex as a sink would give."""
+    """Vertex connectivity of a vertex-transitive digraph, with a minimum
+    separator as certificate (n-1 and none if complete): the lesser of one
+    merged pass from ``base`` and one into it, each over its
+    ``_prefix_sinks``.  Where the atom A containing ``base`` is smaller,
+    |A| <= kappa <= d (Hamidoune), so the prefix reaches past A and its
+    kappa neighbors.  The certificate is the lesser side's (forward on a tie)
+    first sink whose fresh flow equals kappa.  ``symmetries`` are
+    automorphisms fixing ``base``, verified here: one sink per orbit."""
     _require_strongly_connected(g)
     n = g.vertex_count
     if g.is_complete():
         return n - 1, None
-    # automorphisms fixing base preserve adjacency to base, so an orbit is
-    # a non-neighbor exactly when its least vertex is
-    sinks = [2 * t for t in _sink_orbits(g, base, symmetries) if not g.has_edge(base, t)]
-    kappa, sink, reach = _certified_cut(_vertex_split_network(g), 2 * base + 1, sinks, n - 1)
+    _sink_orbits(g, base, symmetries)   # checks the symmetries once, shared with λ
+    net = _vertex_split_network(g)
+    fwd, rev = (_prefix_sinks(net, base, symmetries, r) for r in (False, True))
+    best = net.merged_pass(2 * base + 1, fwd, n - 1)
+    net.reset()
+    kappa = net.merged_pass(2 * base, rev, best, True)
+    pairs = [(s, 2 * base) for s in rev] if kappa < best else [(2 * base + 1, t) for t in fwd]
+    (s, t), reach = _certificate(net, pairs, kappa, n - 1)
     separator = tuple(v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach)
     if len(separator) != kappa:
         raise CrossCheckError("vertex min-cut extraction disagrees with max-flow value")
-    return kappa, CutCertificate("vertex", kappa, separator, (base, sink // 2))
+    return kappa, CutCertificate("vertex", kappa, separator, (s // 2, t // 2))
 
 
 def edge_connectivity(g: Digraph, base: int,
@@ -381,9 +413,9 @@ def edge_connectivity(g: Digraph, base: int,
     n = g.vertex_count
     if n <= 1:
         return 0, None
-    lam, sink, reach = _certified_cut(_edge_network(g), base,
-                                      _sink_orbits(g, base, symmetries),
-                                      len(g.adj[base]) + 1)
+    net, sinks, bound = _edge_network(g), _sink_orbits(g, base, symmetries), len(g.adj[base]) + 1
+    lam = net.merged_pass(base, sinks, bound)
+    (_, sink), reach = _certificate(net, [(base, t) for t in sorted(sinks)], lam, bound)
     cut = tuple((u, v) for u, v in g.edges() if u in reach and v not in reach)
     if len(cut) != lam:
         raise CrossCheckError("edge min-cut extraction disagrees with max-flow value")

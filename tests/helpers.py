@@ -6,7 +6,9 @@ from canonical representatives taken as minima over gH, Edmonds-Karp
 max-flow over dict-based residual graphs, and a full 2^n subset scan for
 atoms.  The per-sink flow sweep runs the package's merged pass with one
 sink at a time, a plain max-flow, as the reference for the merged-source
-pass over all sinks that replaced it.  The closure scan computes each
+pass over all sinks that replaced it.  The full-pass κ runs that pass over
+every orbit's non-neighbor, as the reference for the two passes over a
+breadth-first prefix that replaced it.  The closure scan computes each
 subgroup candidate <H, S0> as a subgroup of G, as the reference for the
 scan over vertex orbits that replaced it.  The sub-instance oracle builds
 the instance on <H, S0> from a spec of its own, enumerating <H, S0> afresh,
@@ -28,6 +30,7 @@ from itertools import combinations
 
 from cosetkit import (AtomCandidate, CosetDigraphSpec, GroupError, build, inverse,
                       subgroup_atom_scan, transpose_spec)
+from cosetkit.digraph import _orbit_minima, _vertex_split_network
 
 
 def apply_then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -308,6 +311,18 @@ def least_cut_per_sink_oracle(net, source: int, sinks, bound: int):
     if net.merged_pass(source, (best_sink,), best + 1) != best:
         raise AssertionError("re-run max-flow disagrees with the sweep's minimum")
     return best, best_sink, net.residual_reachable(source)
+
+
+def full_pass_kappa_oracle(g, base: int, symmetries=()) -> int:
+    """Vertex connectivity of a vertex-transitive digraph by the flow route
+    that the prefix passes replaced: one merged pass from the out-node of
+    ``base`` into the in-node of the least vertex of every orbit of the
+    symmetries that is not a neighbor of ``base``, in breadth-first order."""
+    n = g.vertex_count
+    if g.is_complete():
+        return n - 1
+    sinks = [2 * t for t in _orbit_minima(g, base, symmetries) if not g.has_edge(base, t)]
+    return _vertex_split_network(g).merged_pass(2 * base + 1, sinks, n - 1)
 
 
 def atoms_fullscan_oracle(g, kappa: int) -> set[frozenset[int]]:

@@ -188,6 +188,28 @@ class TestVertexConnectivity:
         whole.add_edge(1, 5, 5)
         assert whole.merged_pass(1, [4, 2], 5) == 2
 
+    def test_prefix_reaches_past_an_atom_outside_the_neighborhood(self):
+        # Cayley digraph of Z_4 x Z_3, (i, j) = 3i + j, S = {(0, 1)} and
+        # {1} x Z_3: the atom {0} x Z_3 holds (0, 2), a non-neighbor of the
+        # base that comes first in breadth-first order and has local
+        # connectivity d = 4, so kappa = 3 needs a later prefix sink
+        s = [(0, 1), (1, 0), (1, 1), (1, 2)]
+        g = Digraph([sorted(3 * ((i + a) % 4) + (j + b) % 3 for a, b in s)
+                     for i in range(4) for j in range(3)])
+        assert helpers.local_vertex_connectivity_oracle(g, 0, 2) == 4
+        kappa, cert = vertex_connectivity_transitive(g, 0)
+        assert kappa == helpers.vertex_connectivity_oracle(g) == 3
+        assert cert.separated_pair == (0, 6) and cert.separator == (3, 4, 5)
+
+    def test_reverse_pass_wins_when_flows_into_the_base_are_fewer(self):
+        # two disjoint paths lead from 0 to each non-neighbor, but every path
+        # into 0 passes through 4: the pass out of 1, 2 and 3 into the
+        # in-node of 0 is smaller, and its certificate separates (1, 0)
+        g = Digraph([[1, 2], [3, 4], [3, 4], [4], [0]])
+        assert [helpers.local_vertex_connectivity_oracle(g, 0, t) for t in (3, 4)] == [2, 2]
+        kappa, cert = vertex_connectivity_transitive(g, 0)
+        assert (kappa, cert.separator, cert.separated_pair) == (1, (4,), (1, 0))
+
 
 def _small_side_atoms(cd):
     """Atoms of size <= (n - kappa)/2 on whichever side has them first,
@@ -259,7 +281,7 @@ class TestEdgeConnectivity:
         # from one base vertex: one merged pass over the n - 1 other vertices
         # and one single-sink certificate flow, where a fresh flow per sink
         # took n
-        passes = _count_merged_sinks(monkeypatch)
+        passes = _record_merged_passes(monkeypatch)
         for name in ("s4_mixed", "cp_4_2", "q8"):
             cd = instance(name)
             n, base = cd.graph.vertex_count, cd.base_vertex
@@ -267,26 +289,45 @@ class TestEdgeConnectivity:
             passes.clear()
             lam, _ = edge_connectivity(cd.graph, base)
             assert lam == cd.degree, name
-            assert passes == [(base, n - 1), (base, 1)], name
+            assert [(s, len(t)) for s, t, _ in passes] == [(base, n - 1), (base, 1)], name
 
 
 def _h_orbit_minima(cd):
     """Least vertex of each H-orbit {h g H}, from the group elements."""
-    return sorted({min(cd.vertex_of(compose(h, rep)) for h in cd.subgroup.members)
-                   for rep in cd.vertices})
+    return sorted({min(_h_orbit(cd, v)) for v in range(len(cd.vertices))})
 
 
-def _count_merged_sinks(monkeypatch):
-    """The source and the number of sinks of each merged pass, in call
+def _h_orbit(cd, v):
+    """The H-orbit of vertex v, from the group elements."""
+    return {cd.vertex_of(compose(h, cd.vertices[v])) for h in cd.subgroup.members}
+
+
+def _prefix_orbit_sinks(cd, g):
+    """The first vertex of each H-orbit among the non-neighbors of the base
+    in the first 2d + 1 positions of breadth-first order from it on g."""
+    base, d = cd.base_vertex, len(g.adj[cd.base_vertex])
+    order = [base]
+    for u in order:
+        order += [v for v in g.adj[u] if v not in order]
+    sinks, covered = [], set(g.adj[base]) | {base}
+    for t in order[:2 * d + 1]:
+        if t not in covered:
+            sinks.append(t)
+            covered |= _h_orbit(cd, t)
+    return sinks
+
+
+def _record_merged_passes(monkeypatch):
+    """The source, the sinks and the direction of each merged pass, in call
     order."""
     passes = []
     original = _UnitFlow.merged_pass
 
-    def counted(self, source, sinks, bound):
-        passes.append((source, len(sinks)))
-        return original(self, source, sinks, bound)
+    def recorded(self, source, sinks, bound, reverse=False):
+        passes.append((source, list(sinks), reverse))
+        return original(self, source, sinks, bound, reverse)
 
-    monkeypatch.setattr(_UnitFlow, "merged_pass", counted)
+    monkeypatch.setattr(_UnitFlow, "merged_pass", recorded)
     return passes
 
 
@@ -306,27 +347,44 @@ class TestStabiliserOrbits:
         assert nontrivial >= 5
 
     def test_one_flow_per_orbit_plus_certificate(self, monkeypatch):
-        # one merged-pass sink per orbit and one single-sink certificate flow
-        passes = _count_merged_sinks(monkeypatch)
+        # kappa: one merged pass per side, over the first vertex of each
+        # H-orbit among the non-neighbors in the first 2d + 1 breadth-first
+        # positions (forward into in-nodes, then reversed out of out-nodes),
+        # and single-sink certificate flows between the base and a prefix of
+        # the winning side's sinks; lambda: one pass over every orbit and one
+        # flow
+        passes = _record_merged_passes(monkeypatch)
         for name in ("cp_4_2", "cp_5_2", "random_0"):
             cd = instance(name)
             g, base = cd.graph, cd.base_vertex
-            n, d = g.vertex_count, len(g.adj[base])
+            d = len(g.adj[base])
             assert len(cd.subgroup) >= 2 and not g.is_complete(), name
             minima = _h_orbit_minima(cd)
             symmetries = stabiliser_translations(cd)
 
             passes.clear()
-            vertex_connectivity_transitive(g, base, symmetries)
+            kappa, cert = vertex_connectivity_transitive(g, base, symmetries)
+            forward = _prefix_orbit_sinks(cd, g)
+            backward = _prefix_orbit_sinks(cd, transpose(g))
+            for sinks in (forward, backward):
+                assert 1 <= len(sinks) <= d, name
+                assert len({min(_h_orbit(cd, t)) for t in sinks}) == len(sinks), name
+            assert passes[:2] == [(2 * base + 1, [2 * t for t in forward], False),
+                                  (2 * base, [2 * t + 1 for t in backward], True)], name
+            if cert.separated_pair[1] == base:
+                flows = [(2 * t + 1, [2 * base], False) for t in backward]
+            else:
+                flows = [(2 * base + 1, [2 * t], False) for t in forward]
+            certificate = passes[2:]
+            assert 1 <= len(certificate) and certificate == flows[:len(certificate)], name
             far = [t for t in minima if t != base and not g.has_edge(base, t)]
-            out_node = 2 * base + 1
-            assert passes == [(out_node, len(far)), (out_node, 1)], name
-            assert len(far) < n - 1 - d, name
+            assert len(forward) < len(far), name
 
             passes.clear()
             edge_connectivity(g, base, symmetries)
             # every orbit but {base}
-            assert passes == [(base, len(minima) - 1), (base, 1)], name
+            assert [(s, len(t)) for s, t, _ in passes] == \
+                [(base, len(minima) - 1), (base, 1)], name
 
     def test_symmetry_moving_base_raises(self):
         rotation = [1, 2, 3, 4, 5, 0]      # an automorphism that moves 0

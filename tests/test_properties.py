@@ -8,7 +8,12 @@ and each certificate must separate its pair.  On every draw, the built
 instance and its transpose must equal the min-over-gH object path, and the
 subgroup scan over vertex orbits must equal the closure scan on both sides,
 and the sub-instance on each nonempty label subset, read off the instance,
-must equal a fresh build of it in vertex and edge count, κ and λ.
+must equal a fresh build of it in vertex and edge count, κ and λ.  On every
+connected draw of these specs and of the thin-cut specs (κ < d by
+construction), flow κ from the two passes over breadth-first prefixes must
+equal the full pass over every orbit, with a certificate that separates its
+pair, and κ must equal networkx's node connectivity of the exported edge
+list, a third oracle that shares no code with cosetkit's flows.
 
 Fuzzed spec documents on two to four points, some of them invalid, must
 end every command in exit code 0, 1 or 3 and never raise out of
@@ -186,6 +191,53 @@ def test_thin_cut_instances_keep_the_atom_theory(spec):
     assert kappa == helpers.vertex_connectivity_oracle(cd.graph) == forward.kappa_group
     assert edge_connectivity(cd.graph, cd.base_vertex)[0] == cd.degree
     assert verify_atom_theory(cd).kappa == kappa
+
+
+@pytest.mark.parametrize("specs", [coset_specs(), thin_cut_specs()],
+                         ids=["coset", "thin_cut"])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_prefix_passes_equal_the_full_pass(specs, data):
+    # kappa from the two passes over breadth-first prefixes, with and without
+    # the stabiliser translations, equals the one pass over every orbit, and
+    # its certificate separates a non-adjacent pair through the base
+    cd = build(data.draw(specs))
+    g, base = cd.graph, cd.base_vertex
+    if not generation_connectivity(cd)[0]:
+        return
+    for symmetries in ((), stabiliser_translations(cd)):
+        kappa, cert = vertex_connectivity_transitive(g, base, symmetries)
+        assert kappa == helpers.full_pass_kappa_oracle(g, base, symmetries)
+        if cert is not None:
+            s, t = cert.separated_pair
+            assert base in (s, t) and s != t and not g.has_edge(s, t)
+            assert len(cert.separator) == kappa
+            assert not _reaches(g.adj, s, t, removed_vertices=set(cert.separator))
+
+
+@pytest.mark.parametrize("specs", [coset_specs(), thin_cut_specs()],
+                         ids=["coset", "thin_cut"])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_kappa_agrees_with_networkx(specs, data):
+    # a third oracle: networkx's node connectivity of the exported edge list
+    # (0 on a disconnected draw), which shares no code with cosetkit's flows
+    nx = pytest.importorskip("networkx")
+    spec = data.draw(specs)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cli.spec_to_document(spec), fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["export", path, "--format", "edges"]) == 0
+    cd = build(spec)
+    exported = nx.DiGraph()
+    exported.add_nodes_from(range(cd.graph.vertex_count))
+    exported.add_edges_from(tuple(map(int, line.split()[:2]))
+                            for line in out.getvalue().splitlines())
+    connected = generation_connectivity(cd)[0]
+    assert nx.node_connectivity(exported) == (oracle_kappa(cd) if connected else 0)
 
 
 @st.composite

@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-LADDER = ((6, 1), (6, 2), (7, 3), (7, 4), (8, 5), (8, 4), (7, 2), (7, 1), (8, 3))
+LADDER = ((6, 1), (6, 2), (7, 3), (7, 4), (8, 5), (8, 4), (7, 2), (7, 1), (8, 3), (8, 2), (8, 1))
 LIMIT_S = 120
 PEAK_TAG = "cp_ladder peak KiB:"
 
