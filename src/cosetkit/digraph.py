@@ -22,10 +22,10 @@ DEFAULT_SUBSET_BUDGET = 2_000_000
 
 class Digraph:
     """Immutable digraph on vertices 0..n-1; no loops, no parallel edges.
-    Its strongly connected components are computed once, on first use, and
-    so are the flow routines' sinks for each base vertex and symmetries."""
+    Its transpose and strongly connected components are computed once, on
+    first use, and so is each check of symmetries, shared with the transpose."""
 
-    __slots__ = ("adj", "_scc", "_sinks")
+    __slots__ = ("adj", "_scc", "_transpose", "_checked")
 
     def __init__(self, adjacency: Sequence[Sequence[int]]):
         n = len(adjacency)
@@ -42,7 +42,8 @@ class Digraph:
             adj.append(row)
         self.adj = tuple(adj)
         self._scc: tuple[tuple[int, ...], ...] | None = None
-        self._sinks: dict[tuple, tuple[int, ...]] = {}
+        self._transpose: Digraph | None = None
+        self._checked: set[tuple] = set()
 
     @property
     def vertex_count(self) -> int:
@@ -61,9 +62,10 @@ class Digraph:
         return v in self.adj[u]
 
     def strong_components(self) -> tuple[tuple[int, ...], ...]:
-        """``strongly_connected_components`` of this digraph, cached."""
+        """``strongly_connected_components``, cached and shared with the transpose."""
         if self._scc is None:
-            self._scc = tuple(map(tuple, strongly_connected_components(self)))
+            scc = tuple(map(tuple, strongly_connected_components(self)))
+            self._scc = transpose(self)._scc = scc
         return self._scc
 
     def is_complete(self) -> bool:
@@ -101,14 +103,15 @@ class AtomSet:
 
 
 def transpose(g: Digraph) -> Digraph:
-    """The edge-reversed digraph; it has g's strongly connected components,
-    so it shares them once g has computed them."""
-    rows: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for u, v in g.edges():
-        rows[v].append(u)
-    out = Digraph([sorted(r) for r in rows])
-    out._scc = g._scc
-    return out
+    """The edge-reversed digraph, rows ascending, built once per digraph;
+    its transpose is ``g`` itself, and the two share their checks."""
+    if g._transpose is None:
+        rows: list[list[int]] = [[] for _ in range(g.vertex_count)]
+        for u, v in g.edges():
+            rows[v].append(u)
+        g._transpose = Digraph(rows)
+        g._transpose._transpose, g._transpose._checked = g, g._checked
+    return g._transpose
 
 
 def strongly_connected_components(g: Digraph) -> list[list[int]]:
@@ -291,14 +294,8 @@ def _require_strongly_connected(g: Digraph) -> None:
         raise NotStronglyConnected("digraph is not strongly connected")
 
 
-def _orbit_minima(g: Digraph, base: int,
-                  symmetries: Iterable[Sequence[int]]) -> list[int]:
-    """Least vertex of each orbit but {base} of the group generated by
-    ``symmetries``, in breadth-first order from ``base``.  Each must be an
-    automorphism of ``g`` fixing ``base``, so that local connectivities from
-    ``base`` are constant on orbits; checked here, else CrossCheckError."""
+def _check_automorphisms(g: Digraph, base: int, symmetries: tuple[tuple[int, ...], ...]) -> None:
     n = g.vertex_count
-    symmetries = list(symmetries)
     for phi in symmetries:
         if sorted(phi) != list(range(n)):
             raise CrossCheckError("a symmetry is not a permutation of the vertices")
@@ -306,47 +303,27 @@ def _orbit_minima(g: Digraph, base: int,
             raise CrossCheckError(f"a symmetry moves the base vertex {base}")
         if any({phi[v] for v in g.adj[u]} != set(g.adj[phi[u]]) for u in range(n)):
             raise CrossCheckError("a symmetry is not an automorphism of the digraph")
-    least = [-1] * n
-    for u in range(n):                  # ascending, so u is its orbit's least vertex
-        if least[u] < 0:
-            for v in orbit(symmetries, [u]):
-                least[v] = u
-    order, seen = [base], {base}
+    g._checked.add((base, symmetries))
+
+
+def _sinks(g: Digraph, base: int, symmetries: Sequence[Sequence[int]], size: int,
+           skip: Iterable[int] = ()) -> list[int]:
+    """The first vertex of each orbit of ``symmetries`` outside ``base`` and
+    ``skip`` among the first ``size`` places in breadth-first order from
+    ``base`` along ``g``.  Each symmetry must be an automorphism fixing
+    ``base``, so that local connectivities from (and into) ``base`` are
+    constant on orbits: checked once for ``g`` and its transpose."""
+    key = (base, tuple(map(tuple, symmetries)))
+    if key not in g._checked:
+        _check_automorphisms(g, *key)
+    order, seen, sinks, covered = [base], {base}, [], {base, *skip}
     for u in order:                     # the list grows as it is read
         for v in g.adj[u]:
-            if v not in seen:
+            if len(order) < size and v not in seen:
                 seen.add(v)
                 order.append(v)
-    return [v for v in order[1:] if least[v] == v]
-
-
-def _sink_orbits(g: Digraph, base: int,
-                 symmetries: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    """``_orbit_minima``, computed once per digraph, base and symmetries, so
-    that κ and λ from one base share the symmetry checks, and λ's sinks."""
-    key = (base, tuple(map(tuple, symmetries)))
-    sinks = g._sinks.get(key)
-    if sinks is None:
-        sinks = g._sinks[key] = tuple(_orbit_minima(g, base, key[1]))
-    return sinks
-
-
-def _prefix_sinks(net: _UnitFlow, base: int, symmetries: Sequence[Sequence[int]],
-                  reverse: bool) -> list[int]:
-    """The in-node (out-node and reversed edges with ``reverse``) on ``net`` of
-    the first of each orbit of ``symmetries`` among the non-neighbors of
-    ``base`` in its first 2d + 1 places in breadth-first order."""
-    def row(u: int) -> list[int]:
-        return [net.to[e] >> 1 for e in net.head[2 * u + 1 - reverse] if e & 1 == reverse]
-
-    order, sinks, covered = [base], [], {base, *row(base)}
-    size = 2 * len(covered) - 1         # 2d + 1, d the degree of base
-    for u in order:                     # the list grows as it is read
-        for v in row(u):
-            if len(order) < size and v not in order:
-                order.append(v)
                 if v not in covered:
-                    sinks.append(2 * v + reverse)
+                    sinks.append(v)
                     covered.update(orbit(symmetries, [v]))
     return sinks
 
@@ -375,19 +352,20 @@ def vertex_connectivity_transitive(g: Digraph, base: int,
                                    ) -> tuple[int, CutCertificate | None]:
     """Vertex connectivity of a vertex-transitive digraph, with a minimum
     separator as certificate (n-1 and none if complete): the lesser of one
-    merged pass from ``base`` and one into it, each over its
-    ``_prefix_sinks``.  Where the atom A containing ``base`` is smaller,
-    |A| <= kappa <= d (Hamidoune), so the prefix reaches past A and its
-    kappa neighbors.  The certificate is the lesser side's (forward on a tie)
-    first sink whose fresh flow equals kappa.  ``symmetries`` are
-    automorphisms fixing ``base``, verified here: one sink per orbit."""
+    merged pass from ``base`` and one into it, over the ``_sinks`` among the
+    first 2d + 1 places along ``g`` and its transpose.  Where the atom A
+    containing ``base`` is smaller, |A| <= kappa <= d (Hamidoune), so the
+    prefix reaches past A and its kappa neighbors.  The certificate is the
+    lesser side's (forward on a tie) first sink whose fresh flow equals
+    kappa.  ``symmetries`` are automorphisms fixing ``base``: one sink per orbit."""
     _require_strongly_connected(g)
     n = g.vertex_count
     if g.is_complete():
         return n - 1, None
-    _sink_orbits(g, base, symmetries)   # checks the symmetries once, shared with λ
     net = _vertex_split_network(g)
-    fwd, rev = (_prefix_sinks(net, base, symmetries, r) for r in (False, True))
+    sides = [(h, h.adj[base]) for h in (g, transpose(g))]    # out- and in-neighbors
+    fwd, rev = ([2 * t + r for t in _sinks(h, base, symmetries, 2 * len(nbrs) + 1, nbrs)]
+                for r, (h, nbrs) in enumerate(sides))
     best = net.merged_pass(2 * base + 1, fwd, n - 1)
     net.reset()
     kappa = net.merged_pass(2 * base, rev, best, True)
@@ -400,7 +378,7 @@ def vertex_connectivity_transitive(g: Digraph, base: int,
 
 
 def edge_connectivity(g: Digraph, base: int,
-                      symmetries: Iterable[Sequence[int]] = ()
+                      symmetries: Sequence[Sequence[int]] = ()
                       ) -> tuple[int, CutCertificate | None]:
     """Edge connectivity of a vertex-transitive digraph: the least local
     edge connectivity from ``base`` to another vertex, with a minimum edge
@@ -408,14 +386,15 @@ def edge_connectivity(g: Digraph, base: int,
     automorphism taking x to ``base`` turns it into a cut from ``base``, so
     flows into ``base`` are not needed.  ``symmetries`` are automorphisms
     fixing ``base``, as for ``vertex_connectivity_transitive``: one sink per
-    orbit.  A one-vertex digraph yields 0 with no certificate."""
+    orbit, its first in breadth-first order, so the certificate's sink is the
+    first in that order whose flow is lambda.  One vertex yields 0, uncertified."""
     _require_strongly_connected(g)
     n = g.vertex_count
     if n <= 1:
         return 0, None
-    net, sinks, bound = _edge_network(g), _sink_orbits(g, base, symmetries), len(g.adj[base]) + 1
+    net, sinks, bound = _edge_network(g), _sinks(g, base, symmetries, n), len(g.adj[base]) + 1
     lam = net.merged_pass(base, sinks, bound)
-    (_, sink), reach = _certificate(net, [(base, t) for t in sorted(sinks)], lam, bound)
+    (_, sink), reach = _certificate(net, [(base, t) for t in sinks], lam, bound)
     cut = tuple((u, v) for u, v in g.edges() if u in reach and v not in reach)
     if len(cut) != lam:
         raise CrossCheckError("edge min-cut extraction disagrees with max-flow value")

@@ -199,23 +199,26 @@ def check_tower(cd: CosetDigraph, blocks, variant: str = "corollary1") -> Hypoth
 
 def hierarchical_order_search(cd: CosetDigraph):
     """First generator ordering (lexicographic in spec order) making the
-    partial subgroups <H, s_1..s_i> strictly grow, or None."""
-    labels = cd.labels
+    partial subgroups <H, s_1..s_i> strictly grow, or None.  A prefix that
+    can complete has used just the generators its subgroup holds, so the
+    subgroup decides whether it does: one that failed is not searched again."""
+    ids = {lbl: cd.group.id_of(p) for lbl, p in cd.connection.items()}
+    failed: set[tuple[int, ...]] = set()
 
-    def extend(prefix: tuple[str, ...], current: int):
-        if len(prefix) == len(labels):
+    def extend(prefix: tuple[str, ...], current: SubgroupHandle):
+        rest = [lbl for lbl in cd.labels if lbl not in prefix]
+        if current.ids in failed or any(ids[lbl] in current.id_set for lbl in rest):
+            return None                 # an unused generator would never grow it
+        if not rest:
             return prefix
-        for lbl in labels:
-            if lbl in prefix:
-                continue
-            grown = len(cd.closure(prefix + (lbl,)))
-            if grown > current:
-                hit = extend(prefix + (lbl,), grown)
-                if hit is not None:
-                    return hit
+        for lbl in rest:
+            hit = extend(prefix + (lbl,), cd.closure(prefix + (lbl,)))
+            if hit is not None:
+                return hit
+        failed.add(current.ids)
         return None
 
-    return extend((), len(cd.subgroup))
+    return extend((), cd.subgroup)
 
 
 def _ordering_exists(ordering) -> Hypothesis:

@@ -14,7 +14,10 @@ scan over vertex orbits that replaced it.  The sub-instance oracle builds
 the instance on <H, S0> from a spec of its own, enumerating <H, S0> afresh,
 as the reference for the sub-instance read off the parent instance.  The
 orbit-minima oracle joins the vertices by union-find, as the reference for
-the flow routines' sinks, which now come from ``perms.orbit``.
+the orbits of the flow routines' sinks, which come from one breadth-first
+walk over ``perms.orbit``.  The plain ordering search tries every strictly
+growing generator ordering, as the reference for the search that skips a
+subgroup from which no ordering completes.
 
 The last block holds small readers of a built instance that only tests
 call: the smallest winning atom candidate, the automorphism check of a
@@ -30,7 +33,7 @@ from itertools import combinations
 
 from cosetkit import (AtomCandidate, CosetDigraphSpec, GroupError, build, inverse,
                       subgroup_atom_scan, transpose_spec)
-from cosetkit.digraph import _orbit_minima, _vertex_split_network
+from cosetkit.digraph import _vertex_split_network
 
 
 def apply_then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -157,6 +160,28 @@ def assert_scan_matches_closure_scan(cd) -> None:
     assert forward == closure_scan_oracle(cd, "forward"), "forward"
     assert backward == closure_scan_oracle(cd, "transpose"), "transpose"
     assert backward == subgroup_atom_scan(transpose_spec(cd))[0]
+
+
+def hierarchical_order_oracle(cd):
+    """First generator ordering (lexicographic in spec order) making the
+    partial subgroups <H, s_1..s_i> strictly grow, or None, by a plain
+    depth-first search over every such ordering."""
+    labels = cd.labels
+
+    def extend(prefix, current: int):
+        if len(prefix) == len(labels):
+            return prefix
+        for lbl in labels:
+            if lbl in prefix:
+                continue
+            grown = len(cd.closure(prefix + (lbl,)))
+            if grown > current:
+                hit = extend(prefix + (lbl,), grown)
+                if hit is not None:
+                    return hit
+        return None
+
+    return extend((), len(cd.subgroup))
 
 
 def orbit_minima_oracle(g, base: int, symmetries) -> list[int]:
@@ -321,7 +346,7 @@ def full_pass_kappa_oracle(g, base: int, symmetries=()) -> int:
     n = g.vertex_count
     if g.is_complete():
         return n - 1
-    sinks = [2 * t for t in _orbit_minima(g, base, symmetries) if not g.has_edge(base, t)]
+    sinks = [2 * t for t in orbit_minima_oracle(g, base, symmetries) if not g.has_edge(base, t)]
     return _vertex_split_network(g).merged_pass(2 * base + 1, sinks, n - 1)
 
 

@@ -155,14 +155,30 @@ class TestAnalyze:
         assert calls == {"vertex_connectivity_transitive": 1,
                          "strongly_connected_components": 1}
 
+    def test_one_reversed_digraph_per_analyze(self, tmp_path, capsys, monkeypatch):
+        # Kosaraju, kappa's reverse walk, the subgroup scan and the atom
+        # theory all read the one cached transpose
+        built = []
+        original = digraph.Digraph.__init__
+
+        def recorded(self, adjacency):
+            original(self, adjacency)
+            built.append(self)
+        monkeypatch.setattr(digraph.Digraph, "__init__", recorded)
+        code, out, _ = run(capsys, "analyze", write_spec(tmp_path, S4_MIXED_SPEC))
+        assert code == 0 and json.loads(out)["atoms"]["forward"] is not None
+        reversed_edges = {(v, u) for u, v in built[0].edges()}
+        assert reversed_edges != set(built[0].edges())
+        assert sum(set(g.edges()) == reversed_edges for g in built) == 1
+
     @pytest.mark.parametrize("argv", [("analyze", "S4_MIXED"), ("analyze", "CP42"),
                                       ("cp", "--n", "5", "--k", "2")],
                              ids=("s4_mixed", "cp42", "cp52"))
     def test_sink_orbits_computed_once(self, tmp_path, capsys, monkeypatch, argv):
-        # kappa and lambda share the orbit minima of the stabiliser translations
+        # kappa and lambda share one check of the stabiliser translations
         calls = []
-        original = digraph._orbit_minima
-        monkeypatch.setattr(digraph, "_orbit_minima",
+        original = digraph._check_automorphisms
+        monkeypatch.setattr(digraph, "_check_automorphisms",
                             lambda *args: calls.append(args) or original(*args))
         docs = {"S4_MIXED": S4_MIXED_SPEC, "CP42": CP42_SPEC}
         argv = [write_spec(tmp_path, docs[a]) if a in docs else a for a in argv]
@@ -295,6 +311,23 @@ class TestCheck:
         assert code == 3
         assert json.loads(out)["applicable"] is False
         assert err == ("hierarchical_cayley: hypotheses not satisfied: a hierarchical "
+                       "ordering exists [no generator ordering grows at every step]\n")
+
+    def test_hierarchical_gen_search_skips_failed_subgroups(self, tmp_path, capsys):
+        # Z_2^5 with its 31 nonzero elements has no ordering, as any two of
+        # them hold their unused sum; a search over every strictly growing
+        # ordering did not end within 60 s
+        basis = ["(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)"]
+        elements = [{"label": f"e{mask}",
+                     "perm": "".join(c for i, c in enumerate(basis) if mask >> i & 1)}
+                    for mask in range(1, 32)]
+        path = write_spec(tmp_path, {"degree": 10, "group_generators": basis,
+                                     "subgroup_generators": [],
+                                     "connection_set": elements})
+        code, out, err = run(capsys, "check", "hierarchical_gen", path)
+        assert code == 3
+        assert json.loads(out)["applicable"] is False
+        assert err == ("hierarchical_gen: hypotheses not satisfied: a hierarchical "
                        "ordering exists [no generator ordering grows at every step]\n")
 
     @pytest.mark.parametrize("theorem, blocks", [

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 import helpers
-from corpus import CORPUS_NAMES, SMALL_NAMES, instance
+from corpus import CORPUS_NAMES, SMALL_NAMES, cp_instance, instance
 from cosetkit import digraph
 from cosetkit import (CapExceeded, CompleteDigraphError, CrossCheckError, Digraph,
                       NotStronglyConnected, atoms_bruteforce, compose,
@@ -56,6 +56,14 @@ class TestBasics:
         for _ in range(10):
             g = random_strongly_connected(rng, 8, 10)
             assert transpose(transpose(g)) == g
+
+    def test_transpose_built_once_with_shared_components(self):
+        g = directed_cycle(3)
+        gt = transpose(g)
+        assert transpose(g) is gt and transpose(gt) is g
+        assert gt._scc is None and g.strong_components() is gt.strong_components()
+        h = directed_cycle(4)
+        assert transpose(h).strong_components() is h.strong_components()
 
     def test_transpose_cycle(self):
         g = directed_cycle(3)
@@ -386,6 +394,18 @@ class TestStabiliserOrbits:
             assert [(s, len(t)) for s, t, _ in passes] == \
                 [(base, len(minima) - 1), (base, 1)], name
 
+    def test_kappa_walks_two_prefixes_of_orbits(self, monkeypatch):
+        # the two sink walks stop at 2d + 1 places, with one orbit per sink,
+        # where one orbit per vertex over all n took about n / |H| orbits
+        calls = []
+        original = digraph.orbit
+        monkeypatch.setattr(digraph, "orbit",
+                            lambda *args: calls.append(args) or original(*args))
+        cd = cp_instance(7, 2)
+        assert vertex_connectivity_transitive(cd.graph, cd.base_vertex,
+                                              stabiliser_translations(cd))[0] == cd.degree
+        assert 2 <= len(calls) <= 2 * (2 * cd.degree + 1)
+
     def test_symmetry_moving_base_raises(self):
         rotation = [1, 2, 3, 4, 5, 0]      # an automorphism that moves 0
         for routine in (vertex_connectivity_transitive, edge_connectivity):
@@ -404,9 +424,11 @@ class TestStabiliserOrbits:
                 routine(directed_cycle(6), 0, [[0, 1, 1, 3, 4, 5]])
 
     def test_sinks_are_shared_and_new_symmetries_checked(self, monkeypatch):
+        # kappa and lambda from one base share one run of the symmetry check;
+        # new symmetries, or a failed check, run it again
         calls = []
-        original = digraph._orbit_minima
-        monkeypatch.setattr(digraph, "_orbit_minima",
+        original = digraph._check_automorphisms
+        monkeypatch.setattr(digraph, "_check_automorphisms",
                             lambda *args: calls.append(args) or original(*args))
         g = Digraph([[(v - 1) % 6, (v + 1) % 6] for v in range(6)])
         reflection = (0, 5, 4, 3, 2, 1)

@@ -23,9 +23,9 @@ usage error, must parse on the CLI's shared parser exactly as on a freshly
 built one.
 
 The one orbit routine both κ routes rest on, ``perms.orbit``, must equal
-sympy's orbits on random index permutations, and the flow routines' sinks,
-the orbit minima of the stabiliser translations, must equal the union-find
-oracle's.
+sympy's orbits on random index permutations, and the flow routines' sink
+walk over every place must take one sink per orbit of the stabiliser
+translations, whose orbit minima must equal the union-find oracle's.
 
 Separately, on random digraphs with 3 to 10 vertices (mostly neither
 vertex-transitive nor strongly connected), the merged-source flow pass from
@@ -54,7 +54,7 @@ from cosetkit import (CosetDigraphSpec, Digraph, NotStronglyConnected,  # noqa: 
                       parse_cycles, print_cycles, stabiliser_translations,
                       sub_instance, subgroup_generated, transpose_spec,
                       verify_atom_theory, vertex_connectivity_transitive)
-from cosetkit.digraph import _edge_network, _orbit_minima, _vertex_split_network  # noqa: E402
+from cosetkit.digraph import _edge_network, _sinks, _vertex_split_network  # noqa: E402
 from cosetkit.perms import orbit  # noqa: E402
 from cosetkit.theorems import THEOREM_IDS  # noqa: E402
 
@@ -150,12 +150,18 @@ def test_sub_instance_equals_fresh_build(spec):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(coset_specs())
 def test_orbit_minima_equal_union_find(spec):
-    # H's generators, then every element of H: both fix the base vertex
+    # H's generators, then every element of H: both fix the base vertex.  The
+    # walk over all n places takes one sink in each orbit but {base} that the
+    # base reaches, and the least vertices of those orbits are the oracle's
     cd = build(spec)
+    g, base = cd.graph, cd.base_vertex
     for symmetries in (stabiliser_translations(cd),
                        [cd.left_translation(h) for h in cd.subgroup.ids]):
-        assert _orbit_minima(cd.graph, cd.base_vertex, symmetries) == \
-            helpers.orbit_minima_oracle(cd.graph, cd.base_vertex, symmetries)
+        orbits = [orbit(symmetries, [t]) for t in _sinks(g, base, symmetries, g.vertex_count)]
+        assert sorted(v for o in orbits for v in o) == \
+            sorted(helpers.reachable(g.adj, base) - {base})
+        assert sorted(map(min, orbits)) == \
+            sorted(helpers.orbit_minima_oracle(g, base, symmetries))
 
 
 @st.composite

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from corpus import (HIERARCHICAL_CAYLEY_NAMES, SMALL_NAMES, cayley_spec,
+from corpus import (CORPUS_NAMES, HIERARCHICAL_CAYLEY_NAMES, SMALL_NAMES, cayley_spec,
                     cp_instance, instance, q8_spec, Q8_I, Q8_J)
 from cosetkit import (CosetDigraphSpec, GroupError, build, check_decomposition,
                       check_hierarchical_gen, check_hierarchical_gen_c,
@@ -12,7 +12,7 @@ from cosetkit import (CosetDigraphSpec, GroupError, build, check_decomposition,
                       oracle_kappa, parse_cycles,
                       verify_edge_connectivity, verify_hierarchical_cayley)
 from cosetkit.cp import gamma_label
-from helpers import is_minimal
+from helpers import hierarchical_order_oracle, is_minimal
 
 
 class TestDecomposition:
@@ -108,6 +108,27 @@ class TestHierarchicalSearch:
             cd = cp_instance(n, k)
             ordering = hierarchical_order_search(cd)
             assert ordering == tuple(gamma_label(j) for j in range(2, n - k + 2))
+
+    def test_subgroup_reached_early_does_not_block_a_later_prefix(self):
+        # Z_30 x Z_2: u generates Z_30 at once, with x (order 5) and y (order
+        # 3) unused inside it, while x, y, u reach Z_30 one step at a time
+        cd = build(cayley_spec(12, (
+            ("u", parse_cycles("(1 2)(3 4 5)(6 7 8 9 10)", 12)),
+            ("x", parse_cycles("(6 7 8 9 10)", 12)),
+            ("y", parse_cycles("(3 4 5)", 12)),
+            ("e", parse_cycles("(11 12)", 12)))))
+        assert hierarchical_order_search(cd) == ("x", "y", "u", "e")
+
+    def test_search_equals_plain_search(self):
+        # the first ordering, or none, as with every ordering tried
+        cases = [instance(name) for name in CORPUS_NAMES]
+        cases += [cp_instance(n, k) for n in range(2, 7) for k in range(1, n)]
+        found = 0
+        for cd in cases:
+            ordering = hierarchical_order_search(cd)
+            assert ordering == hierarchical_order_oracle(cd), cd
+            found += ordering is not None
+        assert 0 < found < len(cases)
 
     def test_s4_mixed_has_no_ordering(self):
         assert hierarchical_order_search(instance("s4_mixed")) is None
