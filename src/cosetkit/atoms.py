@@ -150,15 +150,9 @@ def verify_atom_theory(cd: CosetDigraph,
     limit = (n - kappa) // 2
     sides = (("forward", cd.graph), ("transpose", transpose(cd.graph)))
 
-    chosen = None
-    for k in range(1, limit + 1):
-        for side, graph in sides:
-            found = atoms_bruteforce(graph, kappa=kappa, cap=bruteforce_cap, max_size=k)
-            if found.members:
-                chosen = (side, graph, found)
-                break
-        if chosen:
-            break
+    tried = ((side, graph, atoms_bruteforce(graph, kappa=kappa, cap=bruteforce_cap, max_size=k))
+             for k in range(1, limit + 1) for side, graph in sides)
+    chosen = next((hit for hit in tried if hit[2].members), None)
     if chosen is None:
         raise CrossCheckError(
             f"no atom of size <= (n-kappa)/2 = {limit} on either side")

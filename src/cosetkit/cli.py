@@ -174,14 +174,17 @@ def analyze_instance(spec: CosetDigraphSpec, settings: dict, with_timings: bool 
     called on the built instance, untimed, and raises on a failed fact."""
     bruteforce_cap = settings.get("bruteforce_cap", DEFAULT_BRUTEFORCE_CAP)
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    cd = build(spec)
-    timings["build_s"] = round(time.perf_counter() - t0, 3)
+
+    def stage(name, fn, *args):
+        t0 = time.perf_counter()
+        result = fn(*args)
+        timings[name] = round(time.perf_counter() - t0, 3)
+        return result
+
+    cd = stage("build_s", build, spec)
     if verify is not None:
         verify(cd)
-    t0 = time.perf_counter()
-    connected, _, components = generation_connectivity(cd)
-    timings["connectivity_s"] = round(time.perf_counter() - t0, 3)
+    connected, _, components = stage("connectivity_s", generation_connectivity, cd)
 
     instance = {
         "group_order": len(cd.group),
@@ -197,38 +200,22 @@ def analyze_instance(spec: CosetDigraphSpec, settings: dict, with_timings: bool 
     if not connected:
         return report, EXIT_OK
 
-    t0 = time.perf_counter()
-    oracle = oracle_kappa(cd)
-    timings["kappa_flow_s"] = round(time.perf_counter() - t0, 3)
-    t0 = time.perf_counter()
-    forward, _ = atoms_mod.kappa_group_theoretic(cd)
-    timings["kappa_group_s"] = round(time.perf_counter() - t0, 3)
+    oracle = stage("kappa_flow_s", oracle_kappa, cd)
+    forward, _ = stage("kappa_group_s", atoms_mod.kappa_group_theoretic, cd)
     agree = forward.kappa_group == oracle
     report["kappa"] = {"oracle": oracle, "group_theoretic": forward.kappa_group,
                        "agree": agree}
+    report["lambda"] = stage("lambda_s", edge_connectivity, cd.graph, cd.base_vertex,
+                             stabiliser_translations(cd))[0]
 
-    t0 = time.perf_counter()
-    report["lambda"] = edge_connectivity(cd.graph, cd.base_vertex,
-                                         stabiliser_translations(cd))[0]
-    timings["lambda_s"] = round(time.perf_counter() - t0, 3)
-
-    n = cd.graph.vertex_count
-    if n <= bruteforce_cap and not cd.graph.is_complete():
-        t0 = time.perf_counter()
-        theory = atoms_mod.verify_atom_theory(cd, bruteforce_cap=bruteforce_cap)
-        sides = {}
-        for side in ("forward", "transpose"):
-            if side == theory.side:
-                sides[side] = {"found": True, "size": theory.atom_size,
-                               "count": theory.atom_count,
-                               "base_atom": list(theory.base_atom)}
-            else:
-                sides[side] = {"found": False, "size": None, "count": None,
-                               "base_atom": None}
-        report["atoms"] = {"forward": sides["forward"],
-                           "transpose": sides["transpose"],
-                           "partition_ok": theory.partition_ok}
-        timings["atoms_s"] = round(time.perf_counter() - t0, 3)
+    if cd.graph.vertex_count <= bruteforce_cap and not cd.graph.is_complete():
+        theory = stage("atoms_s", atoms_mod.verify_atom_theory, cd, bruteforce_cap)
+        absent = {"found": False, "size": None, "count": None, "base_atom": None}
+        report["atoms"] = {"forward": absent, "transpose": absent,
+                           "partition_ok": theory.partition_ok,
+                           theory.side: {"found": True, "size": theory.atom_size,
+                                         "count": theory.atom_count,
+                                         "base_atom": list(theory.base_atom)}}
 
     return report, EXIT_OK if agree else EXIT_INCONSISTENT
 
@@ -297,9 +284,8 @@ def run_check(args) -> theorems.HypothesisReport:
     if theorem in ("corollary1", "corollary1_1"):
         return theorems.check_tower(cd, blocks, theorem)
     if theorem in ("hierarchical_gen", "hier1"):
-        variant = "standard" if theorem == "hierarchical_gen" else "hier1"
         ordering = None if args.order is None else _parse_labels(args.order)
-        return theorems.check_hierarchical_gen(cd, ordering, variant)
+        return theorems.check_hierarchical_gen(cd, ordering, theorem)
     if theorem == "hierarchical_cayley":
         return theorems.verify_hierarchical_cayley(cd)
     if theorem == "hierarchical_gen_c":

@@ -402,10 +402,10 @@ def edge_connectivity(g: Digraph, base: int,
 
 
 def _scan_minimum_subsets(g: Digraph, accept, max_size: int,
-                          budget: int) -> tuple[tuple[frozenset[int], ...], int]:
+                          budget: int) -> tuple[frozenset[int], ...]:
     """Scan subsets by increasing size; return all hits of the first size
-    with any, along with that size.  Equivalent to a full subset scan for
-    minimum-cardinality targets, but stops as soon as the minimum is known."""
+    with any.  Equivalent to a full subset scan for minimum-cardinality
+    targets, but stops as soon as the minimum is known."""
     n = g.vertex_count
     examined = 0
     for k in range(1, max_size + 1):
@@ -419,8 +419,8 @@ def _scan_minimum_subsets(g: Digraph, accept, max_size: int,
             if accept(combo):
                 hits.append(frozenset(combo))
         if hits:
-            return tuple(hits), k
-    return (), max_size
+            return tuple(hits)
+    return ()
 
 
 def atoms_bruteforce(g: Digraph, kappa: int,
@@ -450,7 +450,7 @@ def atoms_bruteforce(g: Digraph, kappa: int,
         nbrs.difference_update(combo)
         return len(nbrs) == kappa and len(combo) + kappa < n
 
-    members, _ = _scan_minimum_subsets(g, accept, limit, budget)
+    members = _scan_minimum_subsets(g, accept, limit, budget)
     if not members and max_size is None:
         raise CrossCheckError("no atom found in a non-complete digraph")
     return AtomSet(members)
@@ -472,7 +472,7 @@ def e_atoms_bruteforce(g: Digraph, lam: int,
         out_edges = sum(w not in inside for v in combo for w in adj[v])
         return out_edges == lam
 
-    members, _ = _scan_minimum_subsets(g, accept, n - 1, budget)
+    members = _scan_minimum_subsets(g, accept, n - 1, budget)
     if not members and n > 1:
         raise CrossCheckError("no e-atom found in a strongly connected digraph")
     return AtomSet(members)

@@ -165,13 +165,11 @@ class GroupContext:
     cached per p; the tables of the generators come from the enumeration.
     """
 
-    __slots__ = ("degree", "generators", "elements", "index", "_right")
+    __slots__ = ("degree", "elements", "index", "_right")
 
-    def __init__(self, degree: int, generators: tuple[Permutation, ...],
-                 images: list[tuple[int, ...]], index: dict[tuple[int, ...], int],
-                 right: dict[tuple[int, ...], list[int]]):
+    def __init__(self, degree: int, images: list[tuple[int, ...]],
+                 index: dict[tuple[int, ...], int], right: dict[tuple[int, ...], list[int]]):
         self.degree = degree
-        self.generators = generators
         self.elements = tuple(Permutation(img) for img in images)
         self.index = index
         self._right = right
@@ -314,7 +312,7 @@ def enumerate_closure(degree: int, gens: Sequence[Permutation],
                 images.append(w)
             table.append(i)
     right = {g.image: table for g, table in zip(gens, tables)}
-    return GroupContext(degree, gens, images, index, right)
+    return GroupContext(degree, images, index, right)
 
 
 def trivial_subgroup(ctx: GroupContext) -> SubgroupHandle:

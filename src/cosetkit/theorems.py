@@ -229,18 +229,17 @@ def _ordering_exists(ordering) -> Hypothesis:
 
 
 def check_hierarchical_gen(cd: CosetDigraph, ordering=None,
-                           variant: str = "standard") -> HypothesisReport:
+                           variant: str = "hierarchical_gen") -> HypothesisReport:
     """Hierarchical ordering plus degree conditions force kappa = d.  The
     hier1 variant replaces |G_1/H| >= d_2 with Hs_1^-1 H != Hs_1 H.  With
     no ``ordering``, the first hierarchical one is searched for."""
-    if variant not in ("standard", "hier1"):
+    if variant not in ("hierarchical_gen", "hier1"):
         raise GroupError(f"unknown variant {variant!r}")
-    theorem_id = "hierarchical_gen" if variant == "standard" else "hier1"
     if ordering is None:
         _require_connected(cd)
         ordering = hierarchical_order_search(cd)
         if ordering is None:
-            return _conclude(theorem_id, cd, (_ordering_exists(None),), cd.degree)
+            return _conclude(variant, cd, (_ordering_exists(None),), cd.degree)
     ordering = tuple(ordering)
     if sorted(ordering) != sorted(cd.labels):
         raise GroupError(f"{ordering} is not an ordering of {cd.labels}")
@@ -265,7 +264,7 @@ def check_hierarchical_gen(cd: CosetDigraph, ordering=None,
                            f"d_{ordering[bad + 1]} = {cd.degrees[ordering[bad + 1]]} "
                            f"> d_{bad + 1} = {d_cum[bad]}"))
 
-    if variant == "standard":
+    if variant == "hierarchical_gen":
         hyps.append(_index_covers_d2(cd, chain, d_cum))
     else:
         if not ordering:
@@ -277,7 +276,7 @@ def check_hierarchical_gen(cd: CosetDigraph, ordering=None,
                                None if distinct else
                                f"Hs_1H = Hs_1^-1H for s_1 = {ordering[0]}"))
 
-    return _conclude(theorem_id, cd, hyps, cd.degree)
+    return _conclude(variant, cd, hyps, cd.degree)
 
 
 def verify_hierarchical_cayley(cd: CosetDigraph) -> HypothesisReport:

@@ -253,6 +253,18 @@ class TestAnalyze:
         assert set(timings) == {"build_s", "connectivity_s", "kappa_flow_s",
                                 "kappa_group_s", "lambda_s", "atoms_s"}
 
+    @pytest.mark.parametrize("doc, stages", [
+        (DISCONNECTED_SPEC, {"build_s", "connectivity_s"}),
+        ({"family": "cp", "n": 5, "k": 2},          # 60 vertices, above the cap
+         {"build_s", "connectivity_s", "kappa_flow_s", "kappa_group_s", "lambda_s"}),
+    ], ids=["disconnected", "above_bruteforce_cap"])
+    def test_timings_name_only_the_stages_run(self, tmp_path, capsys, doc, stages):
+        path = write_spec(tmp_path, doc)
+        code, out, _ = run(capsys, "analyze", path, "--timings")
+        report = json.loads(out)
+        assert code == 0 and report["atoms"] is None
+        assert set(report["timings"]) == stages
+
 
 class TestCheck:
     def test_decomposition_cp52(self, tmp_path, capsys):

@@ -155,7 +155,7 @@ class TestHierarchicalSearch:
 class TestHierarchicalGen:
     def test_q8(self):
         cd = instance("q8")
-        report = check_hierarchical_gen(cd, ["i", "j"], "standard")
+        report = check_hierarchical_gen(cd, ["i", "j"], "hierarchical_gen")
         assert report.applicable
         assert report.computed_kappa == 2
         assert report.consistent
@@ -163,7 +163,7 @@ class TestHierarchicalGen:
     def test_cp62(self):
         cd = cp_instance(6, 2)
         ordering = [gamma_label(j) for j in range(2, 6)]
-        report = check_hierarchical_gen(cd, ordering, "standard")
+        report = check_hierarchical_gen(cd, ordering, "hierarchical_gen")
         assert report.applicable
         assert report.computed_kappa == 5 and report.consistent
 
@@ -195,7 +195,7 @@ class TestHierarchicalGen:
     def test_bad_ordering_rejected(self):
         cd = instance("q8")
         with pytest.raises(GroupError):
-            check_hierarchical_gen(cd, ["i"], "standard")
+            check_hierarchical_gen(cd, ["i"], "hierarchical_gen")
 
 
 class TestHierarchicalCayley:

@@ -6,10 +6,11 @@ For each NAME=CHECKOUT pair (default ``change=`` the checkout holding this
 script), every instance in LADDER runs ``cosetkit cp --n N --k K --timings``
 from that checkout's ``src`` in a fresh Python process, stopped after
 LIMIT_S seconds.  Per instance the document holds the exit code (null when
-stopped), the wall time including start-up, the report's ``timings`` stages
-and the process's peak resident set (``VmHWM``); per checkout it holds the
-nonblank line count of ``src/``.  Instances run one at a time, so they do
-not compete for the processor.
+stopped), the wall time including start-up, the report's ``kappa`` (flow
+and group values and whether they agree), its ``lambda`` and its ``timings``
+stages, and the process's peak resident set (``VmHWM``); per checkout it
+holds the nonblank line count of ``src/``.  Instances run one at a time, so
+they do not compete for the processor.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from pathlib import Path
 LADDER = ((6, 1), (6, 2), (7, 3), (7, 4), (8, 5), (8, 4), (7, 2), (7, 1), (8, 3), (8, 2), (8, 1))
 LIMIT_S = 120
 PEAK_TAG = "cp_ladder peak KiB:"
+REPORT_KEYS = ("kappa", "lambda", "timings")
 
 # The child runs the CLI in-process, then reports its own VmHWM on stderr:
 # a parent's ru_maxrss for its children carries the parent's peak on Linux.
@@ -54,12 +56,12 @@ def run_instance(src: Path, n: int, k: int) -> dict:
         proc = subprocess.run([sys.executable, "-c", CHILD, str(n), str(k)], env=env,
                               capture_output=True, text=True, timeout=LIMIT_S)
     except subprocess.TimeoutExpired:
-        entry.update(exit_code=None, wall_s=None, timings=None, peak_rss_mib=None)
+        entry.update(dict.fromkeys(("exit_code", "wall_s", *REPORT_KEYS, "peak_rss_mib")))
         return entry
     entry["exit_code"] = proc.returncode
     entry["wall_s"] = round(time.perf_counter() - t0, 3)
     report = json.loads(proc.stdout) if proc.returncode == 0 else {}
-    entry["timings"] = report.get("timings")
+    entry.update((key, report.get(key)) for key in REPORT_KEYS)
     peak = [line for line in proc.stderr.splitlines() if line.startswith(PEAK_TAG)]
     entry["peak_rss_mib"] = round(int(peak[-1].split()[-1]) / 1024, 1) if peak else None
     return entry
