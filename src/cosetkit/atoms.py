@@ -119,7 +119,6 @@ class AtomTheoryReport:
     kappa: int
     atom_size: int
     atom_count: int
-    partition_ok: bool
     base_atom: tuple[int, ...]
     s0_labels: tuple[str, ...]
     neighbor_count: int
@@ -195,5 +194,5 @@ def verify_atom_theory(cd: CosetDigraph,
             raise CrossCheckError(f"edge class {lbl!r} induces an edge inside A0")
 
     suffix = "^-1" if side == "transpose" else ""
-    return AtomTheoryReport(side, kappa, atom_set.size, len(atoms), True, tuple(base_sorted),
+    return AtomTheoryReport(side, kappa, atom_set.size, len(atoms), tuple(base_sorted),
                             tuple(lbl + suffix for lbl in s0), len(nbrs), d_s1)

@@ -3,8 +3,8 @@
 Strong connectivity, neighbor sets, exact vertex/edge connectivity of
 vertex-transitive digraphs by merged-source augmenting-path passes from one
 base vertex over the orbits of the given automorphisms fixing it (for κ, over
-a breadth-first prefix on each side), with a minimum-cut certificate from a
-re-run max-flow, and brute-force atom / e-atom enumeration.
+a breadth-first prefix), with a minimum-cut certificate from a re-run
+max-flow, and brute-force atom / e-atom enumeration.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ DEFAULT_SUBSET_BUDGET = 2_000_000
 class Digraph:
     """Immutable digraph on vertices 0..n-1; no loops, no parallel edges.
     Its transpose and strongly connected components are computed once, on
-    first use, and so is each check of symmetries, shared with the transpose."""
+    first use, and so is each check of symmetries."""
 
     __slots__ = ("adj", "_scc", "_transpose", "_checked")
 
@@ -104,13 +104,13 @@ class AtomSet:
 
 def transpose(g: Digraph) -> Digraph:
     """The edge-reversed digraph, rows ascending, built once per digraph;
-    its transpose is ``g`` itself, and the two share their checks."""
+    its transpose is ``g`` itself."""
     if g._transpose is None:
         rows: list[list[int]] = [[] for _ in range(g.vertex_count)]
         for u, v in g.edges():
             rows[v].append(u)
         g._transpose = Digraph(rows)
-        g._transpose._transpose, g._transpose._checked = g, g._checked
+        g._transpose._transpose = g
     return g._transpose
 
 
@@ -195,42 +195,39 @@ class _UnitFlow:
     def reset(self) -> None:
         self.cap[:] = self._cap0
 
-    def merged_pass(self, source: int, sinks: Iterable[int], bound: int,
-                    reverse: bool = False) -> int:
+    def merged_pass(self, source: int, sinks: Iterable[int], bound: int) -> int:
         """Least over ``sinks`` of the max flow into each from ``source`` and
-        the sinks before it (out of each into them, with ``reverse``), each
-        stopped at the least so far (at first ``bound``), in one flow never
-        reset (Hao & Orlin).  After the one-arc paths, each augmenting path
-        comes from searches from both ends, growing the smaller frontier by a
-        layer.  Only the sink node then joins the merged set: in-node 2t
-        (out-node 2t+1 with ``reverse``) on a split network.  Exact in any
+        the sinks before it, each stopped at the least so far (at first
+        ``bound``), in one flow never reset (Hao & Orlin).  After the one-arc
+        paths, each augmenting path comes from searches from both ends,
+        growing the smaller frontier by a layer.  Only the sink node then
+        joins the merged set: in-node 2t on a split network.  Exact in any
         sink order: a step is a min cut between the merged set and its sink,
         at least the one from ``source``; for a min cut (X, Y) from ``source``
         to a minimising sink, the first sink in Y follows only sinks in X, so
         its step is at most the cut.  A separator vertex v has 2v in X and
         2v+1 in Y, so 2v+1 may not join."""
         to, cap, head = self.to, self.cap, self.head
-        b = 0 if reverse else 1         # for an arc e out of a node, the sink's
-        f = b ^ 1                       # search walks e ^ b, the merged set's e ^ f
-        # search tree arcs (-1 at roots), last search at a node (joined if merged)
+        # searches walk e ^ 1 from the sink, e from the merged set; search
+        # tree arcs (-1 at roots), last search at a node (joined if merged)
         via, fvia, seen, fseen = [0] * self.n, [0] * self.n, [0] * self.n, [0] * self.n
         joined, members, search, best = 1 << 62, [source], 0, bound
         fseen[source], fvia[source] = joined, -1
         for t in sinks:
             flow, via[t] = 0, -1
             for e in head[t]:           # one-arc paths from merged nodes
-                while fseen[to[e]] == joined and cap[e ^ b] > 0 and flow < best:
-                    cap[e ^ b] -= 1
-                    cap[e ^ f] += 1
+                while fseen[to[e]] == joined and cap[e ^ 1] > 0 and flow < best:
+                    cap[e ^ 1] -= 1
+                    cap[e] += 1
                     flow += 1
             while flow < best:
                 search += 1
                 seen[t], back, fore, meet = search, [t], members, -1
                 while meet < 0 and back and fore:
                     if len(back) <= len(fore):
-                        front, mine, tree, other, flip = back, seen, via, fseen, b
+                        front, mine, tree, other, flip = back, seen, via, fseen, 1
                     else:
-                        front, mine, tree, other, flip = fore, fseen, fvia, seen, f
+                        front, mine, tree, other, flip = fore, fseen, fvia, seen, 0
                     layer = []
                     for u in front:
                         for e in head[u]:
@@ -246,7 +243,7 @@ class _UnitFlow:
                     back, fore = (layer, fore) if front is back else (back, layer)
                 if meet < 0:
                     break               # no merged node is reachable
-                for x, tree, step in ((meet, via, f), (meet, fvia, b)):
+                for x, tree, step in ((meet, via, 0), (meet, fvia, 1)):
                     while tree[x] >= 0:         # augment from the meeting node
                         e = tree[x]
                         cap[e] -= 1
@@ -311,8 +308,8 @@ def _sinks(g: Digraph, base: int, symmetries: Sequence[Sequence[int]], size: int
     """The first vertex of each orbit of ``symmetries`` outside ``base`` and
     ``skip`` among the first ``size`` places in breadth-first order from
     ``base`` along ``g``.  Each symmetry must be an automorphism fixing
-    ``base``, so that local connectivities from (and into) ``base`` are
-    constant on orbits: checked once for ``g`` and its transpose."""
+    ``base``, so that local connectivities from ``base`` are constant on
+    orbits: checked once per digraph."""
     key = (base, tuple(map(tuple, symmetries)))
     if key not in g._checked:
         _check_automorphisms(g, *key)
@@ -328,22 +325,22 @@ def _sinks(g: Digraph, base: int, symmetries: Sequence[Sequence[int]], size: int
     return sinks
 
 
-def _certificate(net: _UnitFlow, pairs: Sequence[tuple[int, int]], best: int,
-                 bound: int) -> tuple[tuple[int, int], set[int]]:
-    """The first of the (source, sink) ``pairs`` whose fresh max-flow, stopped
+def _certificate(net: _UnitFlow, source: int, sinks: Sequence[int], best: int,
+                 bound: int) -> tuple[int, set[int]]:
+    """The first of ``sinks`` whose fresh max-flow from ``source``, stopped
     at best + 1, equals ``best``, a merged pass's least value below ``bound``,
-    with its source's residual-reachable set: the least source side of a
+    with the source's residual-reachable set: the least source side of a
     minimum cut.  Else, or on a flow below ``best``, CrossCheckError."""
     if best >= bound:
         raise CrossCheckError(f"no sink has a flow below the bound {bound}")
-    for s, t in pairs:
+    for t in sinks:
         net.reset()
-        flow = net.merged_pass(s, (t,), best + 1)
+        flow = net.merged_pass(source, (t,), best + 1)
         if flow < best:
             raise CrossCheckError(f"a re-run max-flow of {flow} lies below the "
                                   f"merged pass's minimum {best}: the pass missed a cut")
         if flow == best:
-            return (s, t), net.residual_reachable(s)
+            return t, net.residual_reachable(source)
     raise CrossCheckError("no re-run max-flow reaches the merged pass's minimum")
 
 
@@ -351,30 +348,33 @@ def vertex_connectivity_transitive(g: Digraph, base: int,
                                    symmetries: Sequence[Sequence[int]] = ()
                                    ) -> tuple[int, CutCertificate | None]:
     """Vertex connectivity of a vertex-transitive digraph, with a minimum
-    separator as certificate (n-1 and none if complete): the lesser of one
-    merged pass from ``base`` and one into it, over the ``_sinks`` among the
-    first 2d + 1 places along ``g`` and its transpose.  Where the atom A
-    containing ``base`` is smaller, |A| <= kappa <= d (Hamidoune), so the
-    prefix reaches past A and its kappa neighbors.  The certificate is the
-    lesser side's (forward on a tie) first sink whose fresh flow equals
-    kappa.  ``symmetries`` are automorphisms fixing ``base``: one sink per orbit."""
+    separator as certificate (n-1 and none if complete): one merged pass
+    from ``base`` over the ``_sinks`` among the first 2d + 1 breadth-first
+    places, ``symmetries`` being automorphisms fixing ``base``; the
+    certificate's sink is the first whose fresh flow is kappa.  Exact: on
+    the side where atoms are smaller they have at most kappa vertices
+    (Hamidoune), so a fragment F with |F| <= kappa holds ``base``.  If F is
+    positive, N+(F) cuts ``base`` from all outside F u N+(F).  If negative,
+    read g as the coset digraph of Aut(g) over the stabiliser H of ``base``
+    (Sabidussi): N-(F) cuts each xH outside F u N-(F) from ``base``, so by
+    left translation ``base`` from x'^-1 H for each x' in xH.  A yH left over
+    has Hy^-1 inside the union U of the cosets in F u N-(F): at most
+    |U|/|H| = |F| + kappa of them.  Either way at most 2 kappa <= 2d vertices,
+    ``base`` and its out-neighbors among them, are not cut from ``base`` by
+    kappa vertices, so the prefix holds a non-neighbor t with
+    kappa(base, t) = kappa, and the first vertex of its orbit is a sink."""
     _require_strongly_connected(g)
     n = g.vertex_count
     if g.is_complete():
         return n - 1, None
-    net = _vertex_split_network(g)
-    sides = [(h, h.adj[base]) for h in (g, transpose(g))]    # out- and in-neighbors
-    fwd, rev = ([2 * t + r for t in _sinks(h, base, symmetries, 2 * len(nbrs) + 1, nbrs)]
-                for r, (h, nbrs) in enumerate(sides))
-    best = net.merged_pass(2 * base + 1, fwd, n - 1)
-    net.reset()
-    kappa = net.merged_pass(2 * base, rev, best, True)
-    pairs = [(s, 2 * base) for s in rev] if kappa < best else [(2 * base + 1, t) for t in fwd]
-    (s, t), reach = _certificate(net, pairs, kappa, n - 1)
+    net, nbrs = _vertex_split_network(g), g.adj[base]
+    sinks = [2 * t for t in _sinks(g, base, symmetries, 2 * len(nbrs) + 1, nbrs)]
+    kappa = net.merged_pass(2 * base + 1, sinks, n - 1)
+    t, reach = _certificate(net, 2 * base + 1, sinks, kappa, n - 1)
     separator = tuple(v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach)
     if len(separator) != kappa:
         raise CrossCheckError("vertex min-cut extraction disagrees with max-flow value")
-    return kappa, CutCertificate("vertex", kappa, separator, (s // 2, t // 2))
+    return kappa, CutCertificate("vertex", kappa, separator, (base, t // 2))
 
 
 def edge_connectivity(g: Digraph, base: int,
@@ -394,7 +394,7 @@ def edge_connectivity(g: Digraph, base: int,
         return 0, None
     net, sinks, bound = _edge_network(g), _sinks(g, base, symmetries, n), len(g.adj[base]) + 1
     lam = net.merged_pass(base, sinks, bound)
-    (_, sink), reach = _certificate(net, [(base, t) for t in sinks], lam, bound)
+    sink, reach = _certificate(net, base, sinks, lam, bound)
     cut = tuple((u, v) for u, v in g.edges() if u in reach and v not in reach)
     if len(cut) != lam:
         raise CrossCheckError("edge min-cut extraction disagrees with max-flow value")

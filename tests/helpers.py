@@ -7,7 +7,7 @@ max-flow over dict-based residual graphs, and a full 2^n subset scan for
 atoms.  The per-sink flow sweep runs the package's merged pass with one
 sink at a time, a plain max-flow, as the reference for the merged-source
 pass over all sinks that replaced it.  The full-pass κ runs that pass over
-every orbit's non-neighbor, as the reference for the two passes over a
+every orbit's non-neighbor, as the reference for the one pass over a
 breadth-first prefix that replaced it.  The closure scan computes each
 subgroup candidate <H, S0> as a subgroup of G, as the reference for the
 scan over vertex orbits that replaced it.  The sub-instance oracle builds

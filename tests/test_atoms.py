@@ -195,7 +195,6 @@ class TestVerifyAtomTheory:
         assert report.kappa == 2
         assert report.atom_size == 2
         assert report.atom_count == 12
-        assert report.partition_ok
         assert report.s0_labels == ("a^-1",)
         a = parse_cycles("(1 2)", 4)
         tr = transpose_spec(cd)
@@ -206,7 +205,6 @@ class TestVerifyAtomTheory:
         report = verify_atom_theory(cd)
         assert report.atom_size == 1
         assert report.atom_count == 6
-        assert report.partition_ok
 
     def test_neighbor_lower_bound_on_corpus(self):
         # |N(A0)| >= max(|A0|, d_S1), and a multiple of |A0|

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from cosetkit import cli, coset, cp, digraph, perms
+from cosetkit import CrossCheckError, atoms, cli, coset, cp, digraph, perms
 from cosetkit.cp import CPParams, gamma_label
 
 S4_MIXED_SPEC = {
@@ -140,6 +140,22 @@ class TestAnalyze:
         assert code == 2
         assert json.loads(out)["kappa"]["agree"] is False
 
+    @pytest.mark.parametrize("members, message", [
+        ((frozenset({0, 1}), frozenset({1, 2})), "distinct atoms intersect"),
+        ((frozenset({0}),), "atoms do not cover the vertex set"),
+    ], ids=("overlapping", "non_covering"))
+    def test_atoms_that_do_not_partition_are_exit_two(self, tmp_path, capsys, monkeypatch,
+                                                       members, message):
+        # the atom theory raises on a broken partition, so the report's
+        # "partition_ok" can only be true
+        monkeypatch.setattr(atoms, "atoms_bruteforce",
+                            lambda *args, **kwargs: digraph.AtomSet(members))
+        path = write_spec(tmp_path, CP42_SPEC)
+        spec, _ = cli.load_spec_document(path)
+        with pytest.raises(CrossCheckError, match=message):
+            atoms.verify_atom_theory(coset.build(spec))
+        assert run(capsys, "analyze", path) == (2, "", f"internal inconsistency: {message}\n")
+
     def test_connectivity_and_flow_kappa_computed_once(self, tmp_path, capsys,
                                                         monkeypatch):
         calls = Counter()
@@ -156,8 +172,8 @@ class TestAnalyze:
                          "strongly_connected_components": 1}
 
     def test_one_reversed_digraph_per_analyze(self, tmp_path, capsys, monkeypatch):
-        # Kosaraju, kappa's reverse walk, the subgroup scan and the atom
-        # theory all read the one cached transpose
+        # Kosaraju, the subgroup scan and the atom theory all read the one
+        # cached transpose
         built = []
         original = digraph.Digraph.__init__
 

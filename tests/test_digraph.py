@@ -8,10 +8,10 @@ import pytest
 import helpers
 from corpus import CORPUS_NAMES, SMALL_NAMES, cp_instance, instance
 from cosetkit import digraph
-from cosetkit import (CapExceeded, CompleteDigraphError, CrossCheckError, Digraph,
-                      NotStronglyConnected, atoms_bruteforce, compose,
+from cosetkit import (CapExceeded, CompleteDigraphError, CosetDigraphSpec, CrossCheckError,
+                      Digraph, NotStronglyConnected, atoms_bruteforce, build, compose,
                       e_atoms_bruteforce, edge_connectivity,
-                      is_strongly_connected, neighbor_set,
+                      is_strongly_connected, neighbor_set, parse_cycles,
                       stabiliser_translations, strongly_connected_components,
                       transpose, vertex_connectivity_transitive)
 from cosetkit.digraph import _UnitFlow, _vertex_split_network
@@ -209,14 +209,40 @@ class TestVertexConnectivity:
         assert kappa == helpers.vertex_connectivity_oracle(g) == 3
         assert cert.separated_pair == (0, 6) and cert.separator == (3, 4, 5)
 
-    def test_reverse_pass_wins_when_flows_into_the_base_are_fewer(self):
-        # two disjoint paths lead from 0 to each non-neighbor, but every path
-        # into 0 passes through 4: the pass out of 1, 2 and 3 into the
-        # in-node of 0 is smaller, and its certificate separates (1, 0)
-        g = Digraph([[1, 2], [3, 4], [3, 4], [4], [0]])
-        assert [helpers.local_vertex_connectivity_oracle(g, 0, t) for t in (3, 4)] == [2, 2]
-        kappa, cert = vertex_connectivity_transitive(g, 0)
-        assert (kappa, cert.separator, cert.separated_pair) == (1, (4,), (1, 0))
+    @pytest.mark.parametrize("subgroup, connection", [
+        ("(1 4)", ("(1 3)", "(1 4 3 2)")),
+        ("(3 4)", ("(1 2 4)", "(1 3)")),
+    ])
+    def test_prefix_may_lie_inside_a_forward_atom_and_its_neighbors(self, subgroup,
+                                                                    connection):
+        # G = S_4: the four forward atoms have 6 > kappa = 3 vertices and
+        # overlap, and the first 2d + 1 = 9 breadth-first places lie inside
+        # one of them holding the base and its 3 out-neighbors, so no
+        # forward atom bound reaches past it; the transpose atoms have 3
+        # vertices, and the one pass from the base is still exact
+        spec = CosetDigraphSpec(4, (parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4)),
+                                (parse_cycles(subgroup, 4),),
+                                tuple((p, parse_cycles(p, 4)) for p in connection))
+        cd = build(spec)
+        g, base = cd.graph, cd.base_vertex
+        d = len(g.adj[base])
+        assert (g.vertex_count, d, helpers.vertex_connectivity_oracle(g)) == (12, 4, 3)
+        forward = atoms_bruteforce(g, kappa=3).members
+        assert len(forward) == 4 and {len(a) for a in forward} == {6}
+        assert any(a & b for a, b in combinations(forward, 2))
+        assert atoms_bruteforce(transpose(g), kappa=3).size == 3
+        order = [base]
+        for u in order:
+            order += [v for v in g.adj[u] if v not in order]
+        assert any(set(order[:2 * d + 1]) <= a | neighbor_set(g, a)[0]
+                   for a in forward if base in a)
+        for symmetries in ((), stabiliser_translations(cd)):
+            assert vertex_connectivity_transitive(g, base, symmetries)[0] == 3
+        try:
+            import networkx as nx
+        except ImportError:
+            return
+        assert nx.node_connectivity(nx.DiGraph(list(g.edges()))) == 3
 
 
 def _small_side_atoms(cd):
@@ -297,7 +323,7 @@ class TestEdgeConnectivity:
             passes.clear()
             lam, _ = edge_connectivity(cd.graph, base)
             assert lam == cd.degree, name
-            assert [(s, len(t)) for s, t, _ in passes] == [(base, n - 1), (base, 1)], name
+            assert [(s, len(t)) for s, t in passes] == [(base, n - 1), (base, 1)], name
 
 
 def _h_orbit_minima(cd):
@@ -326,14 +352,13 @@ def _prefix_orbit_sinks(cd, g):
 
 
 def _record_merged_passes(monkeypatch):
-    """The source, the sinks and the direction of each merged pass, in call
-    order."""
+    """The source and the sinks of each merged pass, in call order."""
     passes = []
     original = _UnitFlow.merged_pass
 
-    def recorded(self, source, sinks, bound, reverse=False):
-        passes.append((source, list(sinks), reverse))
-        return original(self, source, sinks, bound, reverse)
+    def recorded(self, source, sinks, bound):
+        passes.append((source, list(sinks)))
+        return original(self, source, sinks, bound)
 
     monkeypatch.setattr(_UnitFlow, "merged_pass", recorded)
     return passes
@@ -355,14 +380,18 @@ class TestStabiliserOrbits:
         assert nontrivial >= 5
 
     def test_one_flow_per_orbit_plus_certificate(self, monkeypatch):
-        # kappa: one merged pass per side, over the first vertex of each
-        # H-orbit among the non-neighbors in the first 2d + 1 breadth-first
-        # positions (forward into in-nodes, then reversed out of out-nodes),
-        # and single-sink certificate flows between the base and a prefix of
-        # the winning side's sinks; lambda: one pass over every orbit and one
-        # flow
+        # kappa: one merged pass from the base into the in-nodes of the first
+        # vertex of each H-orbit among the non-neighbors in the first 2d + 1
+        # breadth-first positions, and single-sink certificate flows from the
+        # base to a prefix of those sinks; lambda: one pass over every orbit
+        # and one flow.  Past Kosaraju's, neither walks a transpose.
+        names = ("cp_4_2", "cp_5_2", "random_0")
+        for name in names:
+            instance(name).graph.strong_components()
+        monkeypatch.setattr(digraph, "transpose",
+                            lambda h: pytest.fail("a transpose was built"))
         passes = _record_merged_passes(monkeypatch)
-        for name in ("cp_4_2", "cp_5_2", "random_0"):
+        for name in names:
             cd = instance(name)
             g, base = cd.graph, cd.base_vertex
             d = len(g.adj[base])
@@ -372,30 +401,25 @@ class TestStabiliserOrbits:
 
             passes.clear()
             kappa, cert = vertex_connectivity_transitive(g, base, symmetries)
-            forward = _prefix_orbit_sinks(cd, g)
-            backward = _prefix_orbit_sinks(cd, transpose(g))
-            for sinks in (forward, backward):
-                assert 1 <= len(sinks) <= d, name
-                assert len({min(_h_orbit(cd, t)) for t in sinks}) == len(sinks), name
-            assert passes[:2] == [(2 * base + 1, [2 * t for t in forward], False),
-                                  (2 * base, [2 * t + 1 for t in backward], True)], name
-            if cert.separated_pair[1] == base:
-                flows = [(2 * t + 1, [2 * base], False) for t in backward]
-            else:
-                flows = [(2 * base + 1, [2 * t], False) for t in forward]
-            certificate = passes[2:]
+            sinks = _prefix_orbit_sinks(cd, g)
+            assert 1 <= len(sinks) <= d, name
+            assert len({min(_h_orbit(cd, t)) for t in sinks}) == len(sinks), name
+            assert passes[0] == (2 * base + 1, [2 * t for t in sinks]), name
+            assert cert.separated_pair[0] == base, name
+            flows = [(2 * base + 1, [2 * t]) for t in sinks]
+            certificate = passes[1:]
             assert 1 <= len(certificate) and certificate == flows[:len(certificate)], name
             far = [t for t in minima if t != base and not g.has_edge(base, t)]
-            assert len(forward) < len(far), name
+            assert len(sinks) < len(far), name
 
             passes.clear()
             edge_connectivity(g, base, symmetries)
             # every orbit but {base}
-            assert [(s, len(t)) for s, t, _ in passes] == \
+            assert [(s, len(t)) for s, t in passes] == \
                 [(base, len(minima) - 1), (base, 1)], name
 
-    def test_kappa_walks_two_prefixes_of_orbits(self, monkeypatch):
-        # the two sink walks stop at 2d + 1 places, with one orbit per sink,
+    def test_kappa_walks_one_prefix_of_orbits(self, monkeypatch):
+        # the sink walk stops at 2d + 1 places, with one orbit per sink,
         # where one orbit per vertex over all n took about n / |H| orbits
         calls = []
         original = digraph.orbit
@@ -404,7 +428,7 @@ class TestStabiliserOrbits:
         cd = cp_instance(7, 2)
         assert vertex_connectivity_transitive(cd.graph, cd.base_vertex,
                                               stabiliser_translations(cd))[0] == cd.degree
-        assert 2 <= len(calls) <= 2 * (2 * cd.degree + 1)
+        assert 1 <= len(calls) <= 2 * cd.degree + 1
 
     def test_symmetry_moving_base_raises(self):
         rotation = [1, 2, 3, 4, 5, 0]      # an automorphism that moves 0

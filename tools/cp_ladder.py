@@ -8,7 +8,9 @@ from that checkout's ``src`` in a fresh Python process, stopped after
 LIMIT_S seconds.  Per instance the document holds the exit code (null when
 stopped), the wall time including start-up, the report's ``kappa`` (flow
 and group values and whether they agree), its ``lambda`` and its ``timings``
-stages, and the process's peak resident set (``VmHWM``); per checkout it
+stages, read whatever the exit code (so a rung whose two κ routes disagree,
+exit 2, keeps both values; null when stdout holds no report), and the
+process's peak resident set (``VmHWM``); per checkout it
 holds the nonblank line count of ``src/``.  Instances run one at a time, so
 they do not compete for the processor.
 """
@@ -60,7 +62,10 @@ def run_instance(src: Path, n: int, k: int) -> dict:
         return entry
     entry["exit_code"] = proc.returncode
     entry["wall_s"] = round(time.perf_counter() - t0, 3)
-    report = json.loads(proc.stdout) if proc.returncode == 0 else {}
+    try:
+        report = json.loads(proc.stdout)
+    except json.JSONDecodeError:        # an error line on stderr, no report
+        report = {}
     entry.update((key, report.get(key)) for key in REPORT_KEYS)
     peak = [line for line in proc.stderr.splitlines() if line.startswith(PEAK_TAG)]
     entry["peak_rss_mib"] = round(int(peak[-1].split()[-1]) / 1024, 1) if peak else None
