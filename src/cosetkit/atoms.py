@@ -7,8 +7,8 @@ group-theoretically by scanning all 2^|S| subgroup candidates on the
 digraph and on its transpose, and taking the minimum neighbor count over
 the candidates that are parts (together with the degree), each an orbit
 of K acting on G/H by left translation.  The scan is cross-checked
-candidate by candidate against the digraph's neighbor sets, and kappa is
-validated against the flow oracle wherever the oracle runs.
+candidate by candidate against the digraph's neighbor sets; comparing its
+kappa with the flow route's is the caller's verdict.
 """
 
 from __future__ import annotations
@@ -33,16 +33,13 @@ class AtomCandidate:
     is_part: bool
     neighbor_count: int
 
-    @property
-    def size(self) -> int:
-        return len(self.vertex_set)
-
 
 @dataclass(frozen=True)
 class AtomAnalysis:
-    kappa_group: int                            # combined over both sides
-    winning_candidates: tuple[AtomCandidate, ...]
-    oracle_kappa: int | None
+    """Kappa over both sides, and each side's part candidates attaining it."""
+    kappa_group: int
+    forward: tuple[AtomCandidate, ...]
+    transpose: tuple[AtomCandidate, ...]
 
 
 def subgroup_atom_scan(cd: CosetDigraph) -> tuple[list[AtomCandidate], list[AtomCandidate]]:
@@ -85,15 +82,9 @@ def subgroup_atom_scan(cd: CosetDigraph) -> tuple[list[AtomCandidate], list[Atom
     return forward, backward
 
 
-def kappa_group_theoretic(cd: CosetDigraph,
-                          oracle_kappa: int | None = None) -> tuple[AtomAnalysis, AtomAnalysis]:
+def kappa_group_theoretic(cd: CosetDigraph) -> AtomAnalysis:
     """Vertex connectivity from the subgroup scan on both the digraph and
-    its transpose: kappa = min(d, neighbor counts of part candidates).
-
-    When ``oracle_kappa`` is provided, disagreement raises CrossCheckError.
-    Returns the (forward, transpose) analyses, both carrying the combined
-    kappa.
-    """
+    its transpose: kappa = min(d, neighbor counts of part candidates)."""
     connected, _, _ = generation_connectivity(cd)
     if not connected:
         raise GroupError("digraph is disconnected; kappa is undefined")
@@ -102,15 +93,11 @@ def kappa_group_theoretic(cd: CosetDigraph,
     for cand in (*forward, *backward):
         if cand.is_part and cand.neighbor_count < kappa:
             kappa = cand.neighbor_count
-    if oracle_kappa is not None and kappa != oracle_kappa:
-        raise CrossCheckError(
-            f"group-theoretic kappa {kappa} != flow-oracle kappa {oracle_kappa}")
 
-    def analysis(cands: list[AtomCandidate]) -> AtomAnalysis:
-        winners = tuple(c for c in cands if c.is_part and c.neighbor_count == kappa)
-        return AtomAnalysis(kappa, winners, oracle_kappa)
+    def winners(cands: list[AtomCandidate]) -> tuple[AtomCandidate, ...]:
+        return tuple(c for c in cands if c.is_part and c.neighbor_count == kappa)
 
-    return analysis(forward), analysis(backward)
+    return AtomAnalysis(kappa, winners(forward), winners(backward))
 
 
 @dataclass(frozen=True)

@@ -201,10 +201,9 @@ def analyze_instance(spec: CosetDigraphSpec, settings: dict, with_timings: bool 
         return report, EXIT_OK
 
     oracle = stage("kappa_flow_s", oracle_kappa, cd)
-    forward, _ = stage("kappa_group_s", atoms_mod.kappa_group_theoretic, cd)
-    agree = forward.kappa_group == oracle
-    report["kappa"] = {"oracle": oracle, "group_theoretic": forward.kappa_group,
-                       "agree": agree}
+    group = stage("kappa_group_s", atoms_mod.kappa_group_theoretic, cd).kappa_group
+    agree = group == oracle
+    report["kappa"] = {"oracle": oracle, "group_theoretic": group, "agree": agree}
     report["lambda"] = stage("lambda_s", edge_connectivity, cd.graph, cd.base_vertex,
                              stabiliser_translations(cd))[0]
 

@@ -28,10 +28,6 @@ class CPParams:
         if not 1 <= self.k <= self.n - 1:
             raise GroupError(f"k must satisfy 1 <= k <= n-1, got k={self.k}")
 
-    @property
-    def vertex_count(self) -> int:
-        return factorial(self.n) // factorial(self.k)
-
 
 def gamma(k: int, n: int) -> Permutation:
     """One-line form k 1 2 .. (k-1) (k+1) .. n: shift 1..k cyclically right."""
@@ -81,19 +77,11 @@ def verify_neighbor_multiplier(p: CPParams, F: SubgroupHandle, cd: CosetDigraph)
     return len(reached) == (len(F) // len(h)) * p.k
 
 
-@dataclass(frozen=True)
-class PrefixStructureReport:
-    normalizer_ok: bool
-    gprime_vertex_count: int
-    iso_target: str
-    iso_ok: bool
-
-
-def verify_prefix_structure(p: CPParams, cd: CosetDigraph) -> PrefixStructureReport:
+def verify_prefix_structure(p: CPParams, cd: CosetDigraph) -> None:
     """Structural facts about G' = <H, gamma(2)..gamma(n-k)> for
-    1 < k < n-1: every gamma(j) with j <= n-k normalizes H, G'/H has
-    (n-k)! cosets, and the instance on G' is isomorphic to CP(n-k, 1)
-    via deterministic label-directed BFS."""
+    1 < k < n-1, each raising CrossCheckError when it fails: every gamma(j)
+    with j <= n-k normalizes H, G'/H has (n-k)! cosets, and the instance on
+    G' is isomorphic to CP(n-k, 1) via deterministic label-directed BFS."""
     n, k = p.n, p.k
     if not 1 < k < n - 1:
         raise GroupError(f"prefix structure needs 1 < k < n-1, got n={n} k={k}")
@@ -112,7 +100,6 @@ def verify_prefix_structure(p: CPParams, cd: CosetDigraph) -> PrefixStructureRep
     pairs = [(gamma_label(j), gamma(j, m)) for j in range(2, m + 1)]
     if not _labeled_bfs_isomorphic(cd, pairs):
         raise CrossCheckError(f"G' instance is not isomorphic to CP({m},1)")
-    return PrefixStructureReport(True, gprime_count, f"CP({m},1)", True)
 
 
 def verify_cp_argument(p: CPParams, cd: CosetDigraph) -> None:

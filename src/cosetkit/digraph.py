@@ -54,13 +54,6 @@ class Digraph:
             for v in row:
                 yield (u, v)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(row) for row in self.adj)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def strong_components(self) -> tuple[tuple[int, ...], ...]:
         """``strongly_connected_components``, cached and shared with the transpose."""
         if self._scc is None:
@@ -80,7 +73,7 @@ class Digraph:
         return hash(tuple(map(frozenset, self.adj)))
 
     def __repr__(self) -> str:
-        return f"<digraph n={self.vertex_count} m={self.edge_count}>"
+        return f"<digraph n={self.vertex_count} m={sum(map(len, self.adj))}>"
 
 
 @dataclass(frozen=True)

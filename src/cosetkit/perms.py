@@ -44,9 +44,6 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         return compose(self, other)
 
-    def inverse(self) -> "Permutation":
-        return inverse(self)
-
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.image))
 
@@ -251,10 +248,6 @@ class SubgroupHandle:
         self.id_set = frozenset(ids)
         self.generator_ids = generator_ids
         self._cosets: CosetTable | None = None
-
-    @property
-    def identity(self) -> Permutation:
-        return self.parent.identity
 
     @property
     def members(self) -> tuple[Permutation, ...]:

@@ -66,6 +66,17 @@ def z6_spec() -> CosetDigraphSpec:
     return cayley_spec(6, _labeled(6, [("r", "(1 2 3 4 5 6)")]))
 
 
+def s4_transpose_atom_spec() -> CosetDigraphSpec:
+    """G = S_4, H = <(1 2)(3 4)>, S = {(3 4), (1 3 4 2), (1 3 4)}: 12
+    vertices, d = 5 and kappa = 4.  The forward atom <H, s1>/H has 4
+    vertices and the transpose atom <H, s0>/H has 2, so the atom theory
+    holds on the transpose side, and H is not trivial."""
+    return CosetDigraphSpec(4, (parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4)),
+                            (parse_cycles("(1 2)(3 4)", 4),),
+                            _labeled(4, [("s0", "(3 4)"), ("s1", "(1 3 4 2)"),
+                                         ("s2", "(1 3 4)")]))
+
+
 def z6_disconnected_spec() -> CosetDigraphSpec:
     """Deliberately disconnected: G is Z_6 but the only connection
     generator is the square of the 6-cycle, which generates an index-2
@@ -119,6 +130,7 @@ CORPUS_SPECS = {
     "z2_cubed": z2_cubed_spec,
     "s4_two_gens": s4_two_gens_spec,
     "s4_transpositions": s4_transpositions_spec,
+    "s4_transpose_atom": s4_transpose_atom_spec,
     "z6": z6_spec,
     "random_0": lambda: random_coset_specs()[0],
     "random_1": lambda: random_coset_specs()[1],

@@ -291,7 +291,7 @@ def vertex_connectivity_oracle(g) -> int:
     while v < n and v <= best:
         for w in range(v + 1, n):
             for s, t in ((v, w), (w, v)):
-                if not g.has_edge(s, t):
+                if t not in g.adj[s]:
                     best = _augment([dict(row) for row in network], 2 * s + 1, 2 * t, best)
         v += 1
     return best
@@ -302,7 +302,7 @@ def _vertex_connectivity_all_pairs(g) -> int:
     best = n - 1
     for s in range(n):
         for t in range(n):
-            if s != t and not g.has_edge(s, t):
+            if s != t and t not in g.adj[s]:
                 best = min(best, local_vertex_connectivity_oracle(g, s, t))
     return best
 
@@ -346,7 +346,7 @@ def full_pass_kappa_oracle(g, base: int, symmetries=()) -> int:
     n = g.vertex_count
     if g.is_complete():
         return n - 1
-    sinks = [2 * t for t in orbit_minima_oracle(g, base, symmetries) if not g.has_edge(base, t)]
+    sinks = [2 * t for t in orbit_minima_oracle(g, base, symmetries) if t not in g.adj[base]]
     return _vertex_split_network(g).merged_pass(2 * base + 1, sinks, n - 1)
 
 
@@ -399,12 +399,10 @@ def is_strongly_connected_oracle(adj) -> bool:
     return len(reachable(adj, 0)) == n and len(reachable(radj, 0)) == n
 
 
-def base_atom_candidate(analysis) -> AtomCandidate | None:
-    """Smallest winning candidate: the atom containing the base vertex on
-    this side, when the side achieves kappa."""
-    if not analysis.winning_candidates:
-        return None
-    return min(analysis.winning_candidates, key=lambda c: (c.size, c.labels))
+def base_atom_candidate(winners) -> AtomCandidate | None:
+    """Smallest of one side's winning candidates: the atom containing the
+    base vertex on this side, when the side achieves kappa."""
+    return min(winners, key=lambda c: (len(c.vertex_set), c.labels), default=None)
 
 
 def verify_automorphism(cd, g) -> bool:

@@ -60,7 +60,7 @@ class TestSubgroupScan:
         cd = instance("cp_5_2")
         scan = {c.labels: c for c in subgroup_atom_scan(cd)[0]}
         cand = scan[("γ(2)", "γ(3)")]
-        assert cand.size == 6
+        assert len(cand.vertex_set) == 6
 
     def test_group_side_equals_digraph_side(self):
         # the scan cross-checks internally; also assert here explicitly
@@ -90,31 +90,28 @@ class TestSubgroupScan:
             cd = instance(name)
             for cand in subgroup_atom_scan(cd)[0]:
                 if cand.is_part:
-                    assert cand.neighbor_count % cand.size == 0, name
+                    assert cand.neighbor_count % len(cand.vertex_set) == 0, name
 
 
 class TestKappaGroupTheoretic:
     def test_s4_mixed_value_and_side(self):
         cd = instance("s4_mixed")
-        forward, backward = kappa_group_theoretic(cd)
-        assert forward.kappa_group == 2
-        assert backward.kappa_group == 2
+        analysis = kappa_group_theoretic(cd)
+        assert analysis.kappa_group == 2
         # achieved by <a> on the transpose side only
-        assert not forward.winning_candidates
-        winner = base_atom_candidate(backward)
+        assert not analysis.forward
+        winner = base_atom_candidate(analysis.transpose)
         assert winner.labels == ("a^-1",)
-        assert winner.size == 2
+        assert len(winner.vertex_set) == 2
 
     def test_every_single_generator_spans_implies_optimal(self):
         # <H, s> = G for every s forces kappa = d
         cd = instance("s4_transpositions")
-        forward, backward = kappa_group_theoretic(cd)
-        assert forward.kappa_group == cd.degree == 3
+        assert kappa_group_theoretic(cd).kappa_group == cd.degree == 3
 
     def test_directed_cycle(self):
         cd = instance("z6")
-        forward, _ = kappa_group_theoretic(cd)
-        assert forward.kappa_group == 1
+        assert kappa_group_theoretic(cd).kappa_group == 1
 
     def test_disconnected_rejected(self):
         cd = build(z6_disconnected_spec())
@@ -125,9 +122,7 @@ class TestKappaGroupTheoretic:
         for name in CORPUS_NAMES:
             cd = instance(name)
             oracle, _ = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
-            forward, _ = kappa_group_theoretic(cd, oracle_kappa=oracle)
-            assert forward.kappa_group == oracle, name
-            assert forward.oracle_kappa == oracle, name
+            assert kappa_group_theoretic(cd).kappa_group == oracle, name
 
     @staticmethod
     def _counted(monkeypatch, originals) -> Counter:
@@ -157,8 +152,7 @@ class TestKappaGroupTheoretic:
         calls = self._counted(monkeypatch, {
             "subgroup_generated": perms.subgroup_generated,
             "transpose_spec": coset.transpose_spec, "_build_on": coset._build_on})
-        forward, _ = kappa_group_theoretic(cd)
-        assert forward.kappa_group == cd.degree
+        assert kappa_group_theoretic(cd).kappa_group == cd.degree
         assert calls == Counter()
         coset.transpose_spec(cd)        # the counters do count
         assert calls["transpose_spec"] == calls["_build_on"] == 1
@@ -181,10 +175,11 @@ class TestKappaGroupTheoretic:
             cd = instance(name)
             if cd.degree <= 1:
                 continue
-            for analysis in kappa_group_theoretic(cd):
-                winner = base_atom_candidate(analysis)
+            analysis = kappa_group_theoretic(cd)
+            for winners in (analysis.forward, analysis.transpose):
+                winner = base_atom_candidate(winners)
                 if winner is not None:
-                    assert winner.size < cd.degree, name
+                    assert len(winner.vertex_set) < cd.degree, name
 
 
 class TestVerifyAtomTheory:

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from corpus import s4_transpose_atom_spec
 from cosetkit import CrossCheckError, atoms, cli, coset, cp, digraph, perms
 from cosetkit.cp import CPParams, gamma_label
 
@@ -81,6 +82,19 @@ class TestAnalyze:
         assert report["atoms"]["transpose"]["size"] == 2
         assert report["atoms"]["partition_ok"] is True
         assert "kappa" in err
+
+    def test_transpose_side_witness(self, tmp_path, capsys):
+        # the smaller atom lies on the transpose side, with H nontrivial
+        path = write_spec(tmp_path, cli.spec_to_document(s4_transpose_atom_spec()))
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["instance"]["vertex_count"], report["instance"]["degree"]) == (12, 5)
+        assert report["kappa"] == {"oracle": 4, "group_theoretic": 4, "agree": True}
+        assert report["atoms"]["forward"]["found"] is False
+        assert report["atoms"]["transpose"] == {"found": True, "size": 2, "count": 6,
+                                                "base_atom": [0, 1]}
+        assert err.splitlines()[-1] == "atoms (transpose side): 6 of size 2, partition ok"
 
     def test_cp_family_shorthand(self, tmp_path, capsys):
         path = write_spec(tmp_path, CP42_SPEC)

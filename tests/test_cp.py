@@ -41,9 +41,11 @@ class TestParams:
             CPParams(4, 0)
 
     def test_vertex_count_formula(self):
+        # |G/H| = n!/k!, as G = S_n and H = S_k on the last k points
         for n in range(2, 7):
             for k in range(1, n):
-                assert CPParams(n, k).vertex_count == factorial(n) // factorial(k)
+                cd = cp_instance(n, k)
+                assert (len(cd.group), len(cd.subgroup)) == (factorial(n), factorial(k))
 
 
 class TestBuildShapes:
@@ -56,7 +58,7 @@ class TestBuildShapes:
         for n in range(2, 6):
             for k in range(1, n):
                 cd = cp_instance(n, k)
-                assert len(cd.vertices) == CPParams(n, k).vertex_count, (n, k)
+                assert len(cd.vertices) == factorial(n) // factorial(k), (n, k)
                 assert cd.degree == n - 1, (n, k)
 
     def test_cp_n_minus_1_is_complete(self):
@@ -130,22 +132,22 @@ class TestProofFacts:
         with pytest.raises(GroupError):
             verify_neighbor_multiplier(CPParams(4, 2), outside, cd)
 
+    @staticmethod
+    def _prefix_cosets(n: int, k: int) -> int:
+        """|G'/H| once verify_prefix_structure, which raises on a failed
+        fact, has passed on CP(n, k)."""
+        cd = cp_instance(n, k)
+        assert verify_prefix_structure(CPParams(n, k), cd) is None
+        return len(cd.closure(gamma_label(j) for j in range(2, n - k + 1))) // len(cd.subgroup)
+
     def test_prefix_structure_cp52(self):
-        report = verify_prefix_structure(CPParams(5, 2), cp_instance(5, 2))
-        assert report.gprime_vertex_count == 6
-        assert report.iso_target == "CP(3,1)"
-        assert report.iso_ok and report.normalizer_ok
+        assert self._prefix_cosets(5, 2) == 6
 
     def test_prefix_structure_cp42(self):
-        report = verify_prefix_structure(CPParams(4, 2), cp_instance(4, 2))
-        assert report.gprime_vertex_count == 2
-        assert report.iso_target == "CP(2,1)"
-        assert report.iso_ok
+        assert self._prefix_cosets(4, 2) == 2
 
     def test_prefix_structure_cp63(self):
-        report = verify_prefix_structure(CPParams(6, 3), cp_instance(6, 3))
-        assert report.gprime_vertex_count == 6
-        assert report.iso_ok
+        assert self._prefix_cosets(6, 3) == 6
 
     def test_prefix_structure_range_enforced(self):
         with pytest.raises(GroupError):
@@ -161,8 +163,7 @@ class TestProofFacts:
         for module in (perms, coset):
             monkeypatch.setattr(module, "enumerate_closure",
                                 lambda *args: calls.append(args) or original(*args))
-        report = verify_prefix_structure(CPParams(6, 3), cd)
-        assert (report.iso_target, report.iso_ok) == ("CP(3,1)", True)
+        verify_prefix_structure(CPParams(6, 3), cd)
         assert calls == []
 
     def test_swapped_targets_are_not_isomorphic(self):

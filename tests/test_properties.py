@@ -14,6 +14,9 @@ construction), flow κ from the one pass over the first 2d + 1 breadth-first
 places must equal the full pass over every orbit, with a certificate that
 separates its pair, and κ must equal networkx's node connectivity of the
 exported edge list, a third oracle that shares no code with cosetkit's flows.
+On a family built by enumeration, whose transpose atoms are smaller than
+its forward atoms, with its points renamed at random, the atom theory and
+the analyze report must use the transpose side and its atom.
 
 Fuzzed spec documents on two to four points, some of them invalid, must
 end every command in exit code 0, 1 or 3 and never raise out of
@@ -35,6 +38,7 @@ bound, with a cut of that capacity below it.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -49,13 +53,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import helpers  # noqa: E402
 from cosetkit import (CosetDigraphSpec, Digraph, NotStronglyConnected,  # noqa: E402
-                      Permutation, build, cli, edge_connectivity, enumerate_closure,
-                      generation_connectivity, kappa_group_theoretic, oracle_kappa,
-                      parse_cycles, print_cycles, stabiliser_translations,
-                      sub_instance, subgroup_generated, transpose_spec,
-                      verify_atom_theory, vertex_connectivity_transitive)
+                      Permutation, build, cli, compose, edge_connectivity,
+                      enumerate_closure, generation_connectivity, inverse,
+                      kappa_group_theoretic, oracle_kappa, parse_cycles, print_cycles,
+                      stabiliser_translations, sub_instance, subgroup_generated,
+                      transpose, transpose_spec, verify_atom_theory,
+                      vertex_connectivity_transitive)
 from cosetkit.digraph import _edge_network, _sinks, _vertex_split_network  # noqa: E402
-from cosetkit.perms import orbit  # noqa: E402
+from cosetkit.perms import double_coset_cosets, orbit  # noqa: E402
 from cosetkit.theorems import THEOREM_IDS  # noqa: E402
 
 GENERATORS = {n: (parse_cycles("(1 2)", n), Permutation(list(range(2, n + 1)) + [1]))
@@ -100,9 +105,8 @@ def test_kappa_and_lambda_agree_with_oracles(spec):
     symmetries = stabiliser_translations(cd)
     kappa, vcert = vertex_connectivity_transitive(g, cd.base_vertex)
     orbit_kappa, _ = vertex_connectivity_transitive(g, cd.base_vertex, symmetries)
-    forward, _ = kappa_group_theoretic(cd)
     assert kappa == orbit_kappa == helpers.vertex_connectivity_oracle(g) \
-        == forward.kappa_group
+        == kappa_group_theoretic(cd).kappa_group
     if vcert is not None:
         s, t = vcert.separated_pair
         assert len(vcert.separator) == kappa
@@ -140,10 +144,10 @@ def test_sub_instance_equals_fresh_build(spec):
             fresh = helpers.sub_instance_oracle(cd, labels)
             lam, _ = edge_connectivity(fresh.graph, fresh.base_vertex,
                                        stabiliser_translations(fresh))
-            assert (sub.vertex_count, sub.edge_count,
+            assert (sub.vertex_count, sum(map(len, sub.adj)),
                     vertex_connectivity_transitive(sub, 0, moves)[0],
                     edge_connectivity(sub, 0, moves)[0]) == \
-                (fresh.graph.vertex_count, fresh.graph.edge_count, oracle_kappa(fresh),
+                (fresh.graph.vertex_count, sum(map(len, fresh.graph.adj)), oracle_kappa(fresh),
                  lam), labels
 
 
@@ -192,11 +196,92 @@ def thin_cut_specs(draw):
 def test_thin_cut_instances_keep_the_atom_theory(spec):
     cd = build(spec)
     kappa = oracle_kappa(cd)
-    forward, _ = kappa_group_theoretic(cd)
     assert kappa < cd.degree
-    assert kappa == helpers.vertex_connectivity_oracle(cd.graph) == forward.kappa_group
+    assert kappa == helpers.vertex_connectivity_oracle(cd.graph) \
+        == kappa_group_theoretic(cd).kappa_group
     assert edge_connectivity(cd.graph, cd.base_vertex)[0] == cd.degree
     assert verify_atom_theory(cd).kappa == kappa
+
+
+# (degree, G's generators, H's generators) of the transpose-atom family:
+# S_4 over two subgroups of order 2, and A_4 as a Cayley digraph.
+TRANSPOSE_ATOM_GROUPS = ((4, ("(1 2)", "(1 2 3 4)"), ("(1 2)",)),
+                         (4, ("(1 2)", "(1 2 3 4)"), ("(1 2)(3 4)",)),
+                         (4, ("(1 2 3)", "(1 2)(3 4)"), ()))
+
+
+@functools.cache
+def transpose_atom_family() -> tuple[CosetDigraphSpec, ...]:
+    """Every connected instance on those groups whose connection set is two
+    or three of the double cosets HsH other than H, one element each, and
+    whose transpose atoms, by the full subset scan, are smaller than its
+    forward atoms; each then has kappa < d.  Built by enumeration, as such
+    draws are rare among random ones."""
+    family = []
+    for n, group_cycles, subgroup_cycles in TRANSPOSE_ATOM_GROUPS:
+        gens = tuple(parse_cycles(text, n) for text in group_cycles)
+        h_gens = tuple(parse_cycles(text, n) for text in subgroup_cycles)
+        group = enumerate_closure(n, gens)
+        h = subgroup_generated(group, None, h_gens)
+        reps, covered = [], {0}
+        for coset, x in enumerate(h.cosets().rep_ids):
+            if coset not in covered:
+                covered |= double_coset_cosets(h, group.elements[x])
+                reps.append(group.elements[x])
+        for chosen in (*combinations(reps, 2), *combinations(reps, 3)):
+            spec = CosetDigraphSpec(n, gens, h_gens,
+                                    tuple((f"s{i}", p) for i, p in enumerate(chosen)))
+            cd = build(spec)
+            if not generation_connectivity(cd)[0] or oracle_kappa(cd) == cd.degree:
+                continue
+            sizes = [min(map(len, helpers.atoms_fullscan_oracle(g, oracle_kappa(cd))))
+                     for g in (cd.graph, transpose(cd.graph))]
+            if sizes[1] < sizes[0]:
+                family.append(spec)
+    return tuple(family)
+
+
+def test_transpose_atom_family_has_twenty_instances():
+    family = transpose_atom_family()
+    assert len(family) == 20
+    assert {len(build(spec).vertices) for spec in family} == {12}
+
+
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_transpose_atoms_are_reported_when_they_are_the_smaller(data):
+    # every member of the family, its points renamed by a drawn sigma: an
+    # isomorphic instance, numbered anew
+    for spec in transpose_atom_family():
+        sigma = Permutation(data.draw(st.permutations(range(1, spec.degree + 1))))
+
+        def renamed(p):
+            return compose(compose(inverse(sigma), p), sigma)
+        cd = build(CosetDigraphSpec(
+            spec.degree, tuple(map(renamed, spec.group_generators)),
+            tuple(map(renamed, spec.subgroup_generators)),
+            tuple((lbl, renamed(p)) for lbl, p in spec.connection_set)))
+        g = cd.graph
+        kappa = oracle_kappa(cd)
+        assert kappa == helpers.vertex_connectivity_oracle(g) < cd.degree
+        forward_atoms = helpers.atoms_fullscan_oracle(g, kappa)
+        transpose_atoms = helpers.atoms_fullscan_oracle(transpose(g), kappa)
+        size = min(map(len, transpose_atoms))
+        assert size < min(map(len, forward_atoms))
+
+        analysis = kappa_group_theoretic(cd)
+        assert analysis.kappa_group == kappa
+        winner = helpers.base_atom_candidate(analysis.transpose)
+        assert frozenset(winner.vertex_set) in transpose_atoms
+        rival = helpers.base_atom_candidate(analysis.forward)
+        assert rival is None or len(rival.vertex_set) > size
+
+        theory = verify_atom_theory(cd)
+        assert (theory.side, theory.atom_size, theory.base_atom) == \
+            ("transpose", size, winner.vertex_set)
+        report, code = cli.analyze_instance(cd.spec, {})
+        assert code == 0 and report["atoms"]["forward"]["found"] is False
+        assert report["atoms"]["transpose"]["size"] == size
 
 
 @pytest.mark.parametrize("specs", [coset_specs(), thin_cut_specs()],
@@ -216,7 +301,7 @@ def test_prefix_passes_equal_the_full_pass(specs, data):
         assert kappa == helpers.full_pass_kappa_oracle(g, base, symmetries)
         if cert is not None:
             s, t = cert.separated_pair
-            assert s == base != t and not g.has_edge(s, t)
+            assert s == base != t and t not in g.adj[s]
             assert len(cert.separator) == kappa
             assert not _reaches(g.adj, s, t, removed_vertices=set(cert.separator))
 
@@ -397,7 +482,7 @@ def test_merged_pass_equals_per_sink_sweep(g, data):
         order += [v for v in range(n) if v not in order]
     else:
         order = data.draw(st.permutations(range(n)))
-    far = [t for t in order if t != base and not g.has_edge(base, t)]
+    far = [t for t in order if t != base and t not in g.adj[base]]
     arcs = [(u, v, 1) for u, v in g.edges()]
     for net, source, sinks, local in (
             (_vertex_split_network(g), 2 * base + 1, [2 * t for t in far],

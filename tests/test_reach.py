@@ -3,11 +3,15 @@
 A fixed set of small commands runs in a fresh process under
 ``sys.setprofile``: ``analyze`` on a connected instance with a nontrivial
 H and on a disconnected one, every theorem checker, ``export`` in both
-formats, and ``cp`` with and without ``--emit-spec``.  Every module-level
-function of ``cosetkit`` that none of them calls must be one that the
-benchmark tracer names, read from ``bench/tracer.py`` as in
-``test_traced_names.py``.  A helper that only tests call belongs in
-``tests/helpers.py``.
+formats, ``cp`` with and without ``--emit-spec``, and one usage error.
+Every module-level function of ``cosetkit`` that none of them calls must be
+one that the benchmark tracer names, read from ``bench/tracer.py`` as in
+``test_traced_names.py``.  Every method and property defined in the body of
+a ``cosetkit`` class must be called, with no such exception.  Dunder
+methods are out of scope: Python calls them implicitly (``p(i)``,
+``sorted``, ``for g in G``), and a class keeps the protocol it implements
+as a whole.  A helper that only tests call belongs in ``tests/helpers.py``,
+and a test reaches a primitive rather than a member that only wraps it.
 """
 
 import json
@@ -15,6 +19,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from test_traced_names import TRACED
 
@@ -53,6 +59,7 @@ COMMANDS = [
     (["export", "S4_EXPLICIT", "--format", "edges"], 0),
     (["cp", "--n", "5", "--k", "2"], 0),
     (["cp", "--n", "5", "--k", "2", "--emit-spec"], 0),
+    (["cp", "--n", "5"], 1),
 ]
 
 SCRIPT = r"""
@@ -64,22 +71,41 @@ sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        codes.append(cli.main(argv))
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
 sys.setprofile(None)
 
-unreached = set()
+def members(cls):                   # named methods and properties, no dunders
+    for attr, value in vars(cls).items():
+        if not (attr.startswith("__") and attr.endswith("__")):
+            fn = value.fget if isinstance(value, property) else getattr(value, "__func__", value)
+            if inspect.isfunction(fn):
+                yield attr, fn
+
+unreached, methods = set(), set()
 for name, module in list(sys.modules.items()):
     if name.startswith("cosetkit."):
+        short = name.removeprefix("cosetkit.")
         for attr, value in vars(module).items():
             fn = inspect.unwrap(value) if callable(value) else None
             if (inspect.isfunction(fn) and fn.__module__ == name
                     and fn.__code__ not in called):
-                unreached.add(name.removeprefix("cosetkit.") + "." + attr)
-print(json.dumps({"codes": codes, "unreached": sorted(unreached)}))
+                unreached.add(short + "." + attr)
+            if inspect.isclass(value) and value.__module__ == name:
+                methods.update(f"{short}.{value.__name__}.{m}" for m, fn in members(value)
+                               if fn.__code__ not in called)
+print(json.dumps({"codes": codes, "unreached": sorted(unreached),
+                  "methods": sorted(methods)}))
 """
 
 
-def test_every_unreached_function_is_a_traced_name(tmp_path):
+@pytest.fixture(scope="module")
+def reached(tmp_path_factory) -> dict:
+    """The exit codes of COMMANDS, the module-level functions they leave
+    unreached and the class members they leave uncalled."""
+    tmp_path = tmp_path_factory.mktemp("specs")
     specs = {"CP42": CP42, "CP52": CP52, "S4_EXPLICIT": S4_EXPLICIT,
              "DISCONNECTED": DISCONNECTED, "S4_CAYLEY": S4_CAYLEY, "D5": D5}
     for name, doc in specs.items():
@@ -92,5 +118,13 @@ def test_every_unreached_function_is_a_traced_name(tmp_path):
                           capture_output=True, text=True, check=True, timeout=300)
     result = json.loads(done.stdout)
     assert result["codes"] == [code for _, code in COMMANDS]
+    return result
+
+
+def test_every_unreached_function_is_a_traced_name(reached):
     traced = {f"{module}.{name}" for module, name in TRACED}
-    assert set(result["unreached"]) - traced == set()
+    assert set(reached["unreached"]) - traced == set()
+
+
+def test_every_named_method_is_called(reached):
+    assert not reached["methods"], f"no command calls {', '.join(reached['methods'])}"
