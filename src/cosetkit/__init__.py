@@ -6,7 +6,7 @@ from .coset import (CosetDigraph, CosetDigraphSpec, build, dedupe_generators,
                     generation_connectivity, stabiliser_translations, transpose_spec)
 from .cp import (CPParams, cp_degree_profile, cp_spec, gamma, gamma_label,
                  verify_neighbor_multiplier, verify_prefix_structure)
-from .digraph import (AtomSet, CutCertificate, Digraph, atoms_bruteforce,
+from .digraph import (CutCertificate, Digraph, atoms_bruteforce,
                       e_atoms_bruteforce, edge_connectivity, is_strongly_connected,
                       neighbor_set, strongly_connected_components, transpose,
                       vertex_connectivity_transitive)

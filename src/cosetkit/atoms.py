@@ -52,8 +52,7 @@ def subgroup_atom_scan(cd: CosetDigraph) -> tuple[list[AtomCandidate], list[Atom
     labels = cd.labels
     if len(labels) > MAX_SCAN_GENERATORS:
         raise CapExceeded(f"connection set has {len(labels)} generators, above "
-                          f"the scan cap MAX_SCAN_GENERATORS = {MAX_SCAN_GENERATORS}",
-                          count=len(labels))
+                          f"the scan cap MAX_SCAN_GENERATORS = {MAX_SCAN_GENERATORS}")
     gens = list(cd.connection.values())
     moves = [cd.left_translation(cd.group.id_of(s)) for s in gens]
     forward, backward = [], []
@@ -102,14 +101,12 @@ def kappa_group_theoretic(cd: CosetDigraph) -> AtomAnalysis:
 
 @dataclass(frozen=True)
 class AtomTheoryReport:
+    """The side whose atoms were checked, and their size, count and the
+    one holding the base vertex (ascending)."""
     side: str
-    kappa: int
     atom_size: int
     atom_count: int
     base_atom: tuple[int, ...]
-    s0_labels: tuple[str, ...]
-    neighbor_count: int
-    d_s1: int
 
 
 def verify_atom_theory(cd: CosetDigraph,
@@ -124,27 +121,28 @@ def verify_atom_theory(cd: CosetDigraph,
     Both sides read S0 and E_s from cd, as <H, S0^-1> = <H, S0>.
 
     Atoms of size at most (n - kappa)/2 must exist on at least one side;
-    both sides failing would falsify the size lemma and raises.
+    both sides failing would falsify the size lemma and raises.  Each
+    size is scanned once per side, forward first, so the smallest atoms
+    win and the forward side wins a tie.
     """
     n = cd.graph.vertex_count
     if n > bruteforce_cap:
         raise CapExceeded(f"{n} vertices exceeds the brute-force cap "
-                          f"bruteforce_cap = {bruteforce_cap}", count=n)
+                          f"bruteforce_cap = {bruteforce_cap}")
     if cd.graph.is_complete():
         raise GroupError("complete digraph: no atoms to verify")
     kappa = oracle_kappa(cd)
     limit = (n - kappa) // 2
     sides = (("forward", cd.graph), ("transpose", transpose(cd.graph)))
 
-    tried = ((side, graph, atoms_bruteforce(graph, kappa=kappa, cap=bruteforce_cap, max_size=k))
+    tried = ((side, graph, atoms_bruteforce(graph, kappa=kappa, cap=bruteforce_cap, size=k))
              for k in range(1, limit + 1) for side, graph in sides)
-    chosen = next((hit for hit in tried if hit[2].members), None)
+    chosen = next((hit for hit in tried if hit[2]), None)
     if chosen is None:
         raise CrossCheckError(
             f"no atom of size <= (n-kappa)/2 = {limit} on either side")
-    side, graph, atom_set = chosen
+    side, graph, atoms = chosen
 
-    atoms = atom_set.members
     covered: set[int] = set()
     for a in atoms:
         if covered & a:
@@ -180,6 +178,4 @@ def verify_atom_theory(cd: CosetDigraph,
         if any(v in base_atom for u in base_atom for v in rows[u]):
             raise CrossCheckError(f"edge class {lbl!r} induces an edge inside A0")
 
-    suffix = "^-1" if side == "transpose" else ""
-    return AtomTheoryReport(side, kappa, atom_set.size, len(atoms), tuple(base_sorted),
-                            tuple(lbl + suffix for lbl in s0), len(nbrs), d_s1)
+    return AtomTheoryReport(side, len(base_atom), len(atoms), tuple(base_sorted))

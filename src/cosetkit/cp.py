@@ -52,16 +52,15 @@ def cp_spec(p: CPParams, enumeration_cap: int = DEFAULT_ENUM_CAP) -> CosetDigrap
                             connection, enumeration_cap)
 
 
-def cp_degree_profile(p: CPParams, cd: CosetDigraph) -> dict[str, int]:
-    """Degree table of the built instance, cross-checked against the
-    closed form d_gamma(i) = 1 for i <= n-k and d_gamma(n-k+1) = k."""
+def cp_degree_profile(p: CPParams, cd: CosetDigraph) -> None:
+    """Check the degree table of the built instance against the closed
+    form d_gamma(i) = 1 for i <= n-k and d_gamma(n-k+1) = k."""
     expected = {gamma_label(j): 1 for j in range(2, p.n - p.k + 1)}
     expected[gamma_label(p.n - p.k + 1)] = p.k
     if cd.degrees != expected:
         raise CrossCheckError(f"degree profile {cd.degrees} != expected {expected}")
     if sum(cd.degrees.values()) != p.n - 1:
         raise CrossCheckError("degree profile does not sum to n-1")
-    return dict(cd.degrees)
 
 
 def verify_neighbor_multiplier(p: CPParams, F: SubgroupHandle, cd: CosetDigraph) -> bool:

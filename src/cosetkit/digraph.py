@@ -78,21 +78,11 @@ class Digraph:
 
 @dataclass(frozen=True)
 class CutCertificate:
-    """A witnessing minimum separator.  ``separator`` is a vertex set for
-    kind 'vertex' and an edge set for kind 'edge'."""
-    kind: str
-    size: int
+    """A witnessing minimum separator of ``separated_pair``: a vertex set
+    from ``vertex_connectivity_transitive``, an edge set from
+    ``edge_connectivity``."""
     separator: tuple
     separated_pair: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class AtomSet:
-    members: tuple[frozenset[int], ...]
-
-    @property
-    def size(self) -> int | None:
-        return len(self.members[0]) if self.members else None
 
 
 def transpose(g: Digraph) -> Digraph:
@@ -367,7 +357,7 @@ def vertex_connectivity_transitive(g: Digraph, base: int,
     separator = tuple(v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach)
     if len(separator) != kappa:
         raise CrossCheckError("vertex min-cut extraction disagrees with max-flow value")
-    return kappa, CutCertificate("vertex", kappa, separator, (base, t // 2))
+    return kappa, CutCertificate(separator, (base, t // 2))
 
 
 def edge_connectivity(g: Digraph, base: int,
@@ -391,24 +381,21 @@ def edge_connectivity(g: Digraph, base: int,
     cut = tuple((u, v) for u, v in g.edges() if u in reach and v not in reach)
     if len(cut) != lam:
         raise CrossCheckError("edge min-cut extraction disagrees with max-flow value")
-    return lam, CutCertificate("edge", lam, cut, (base, sink))
+    return lam, CutCertificate(cut, (base, sink))
 
 
-def _scan_minimum_subsets(g: Digraph, accept, max_size: int,
+def _scan_minimum_subsets(g: Digraph, accept, sizes: range,
                           budget: int) -> tuple[frozenset[int], ...]:
-    """Scan subsets by increasing size; return all hits of the first size
-    with any.  Equivalent to a full subset scan for minimum-cardinality
-    targets, but stops as soon as the minimum is known."""
-    n = g.vertex_count
+    """Scan subsets by increasing size in ``sizes``; return all hits of the
+    first size with any.  Equivalent to a full subset scan for
+    minimum-cardinality targets, but stops as soon as the minimum is known."""
     examined = 0
-    for k in range(1, max_size + 1):
+    for k in sizes:
         hits = []
-        for combo in combinations(range(n), k):
+        for combo in combinations(range(g.vertex_count), k):
             examined += 1
             if examined > budget:
-                raise CapExceeded(
-                    f"subset scan exceeded budget {budget} at size {k}",
-                    count=examined)
+                raise CapExceeded(f"subset scan exceeded budget {budget} at size {k}")
             if accept(combo):
                 hits.append(frozenset(combo))
         if hits:
@@ -418,14 +405,15 @@ def _scan_minimum_subsets(g: Digraph, accept, max_size: int,
 
 def atoms_bruteforce(g: Digraph, kappa: int,
                      cap: int = DEFAULT_BRUTEFORCE_CAP,
-                     max_size: int | None = None,
-                     budget: int = DEFAULT_SUBSET_BUDGET) -> AtomSet:
+                     size: int | None = None,
+                     budget: int = DEFAULT_SUBSET_BUDGET) -> tuple[frozenset[int], ...]:
     """All minimum-cardinality parts A with |N(A)| = kappa.
 
-    ``max_size``, when given, bounds the search: an empty AtomSet means no
-    atom of size <= max_size exists (used for the two-sided size-assumption
-    scan); with the default bound atoms always exist for a non-complete
-    strongly connected digraph.
+    ``size``, when given, is the one size scanned, and the result is the
+    parts of that size with kappa neighbors, possibly none: the atoms when
+    no smaller part has kappa neighbors, as in the two-sided
+    size-assumption search, which scans each size once per side.  Without
+    it atoms always exist for a non-complete strongly connected digraph.
     """
     _require_strongly_connected(g)
     if g.is_complete():
@@ -434,7 +422,7 @@ def atoms_bruteforce(g: Digraph, kappa: int,
     if n > cap:
         raise CapExceeded(f"digraph has {n} vertices, brute-force cap is {cap}")
     adj = g.adj
-    limit = n - kappa - 1 if max_size is None else min(max_size, n - kappa - 1)
+    sizes = range(1, n - kappa) if size is None else range(size, min(size + 1, n - kappa))
 
     def accept(combo: tuple[int, ...]) -> bool:
         nbrs: set[int] = set()
@@ -443,15 +431,15 @@ def atoms_bruteforce(g: Digraph, kappa: int,
         nbrs.difference_update(combo)
         return len(nbrs) == kappa and len(combo) + kappa < n
 
-    members = _scan_minimum_subsets(g, accept, limit, budget)
-    if not members and max_size is None:
+    atoms = _scan_minimum_subsets(g, accept, sizes, budget)
+    if not atoms and size is None:
         raise CrossCheckError("no atom found in a non-complete digraph")
-    return AtomSet(members)
+    return atoms
 
 
 def e_atoms_bruteforce(g: Digraph, lam: int,
                        cap: int = DEFAULT_BRUTEFORCE_CAP,
-                       budget: int = DEFAULT_SUBSET_BUDGET) -> AtomSet:
+                       budget: int = DEFAULT_SUBSET_BUDGET) -> tuple[frozenset[int], ...]:
     """All minimum-cardinality proper nonempty subsets with exactly lambda
     outgoing edges; none on one vertex, which has no such subset."""
     _require_strongly_connected(g)
@@ -465,8 +453,7 @@ def e_atoms_bruteforce(g: Digraph, lam: int,
         out_edges = sum(w not in inside for v in combo for w in adj[v])
         return out_edges == lam
 
-    members = _scan_minimum_subsets(g, accept, n - 1, budget)
-    if not members and n > 1:
+    e_atoms = _scan_minimum_subsets(g, accept, range(1, n), budget)
+    if not e_atoms and n > 1:
         raise CrossCheckError("no e-atom found in a strongly connected digraph")
-    return AtomSet(members)
-
+    return e_atoms

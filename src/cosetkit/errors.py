@@ -18,11 +18,8 @@ class CompleteDigraphError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """An enumeration or search exceeded its configured cap."""
-
-    def __init__(self, message: str, count: int | None = None):
-        super().__init__(message)
-        self.count = count
+    """An enumeration or search exceeded its configured cap; the message
+    names the cap and its value."""
 
 
 class CrossCheckError(RuntimeError):

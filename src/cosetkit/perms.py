@@ -281,8 +281,8 @@ def enumerate_closure(degree: int, gens: Sequence[Permutation],
                       cap: int = DEFAULT_ENUM_CAP) -> GroupContext:
     """Enumerate the group generated by ``gens`` by breadth-first closure
     under right multiplication, recording each generator's right table on
-    the way.  Raises CapExceeded past ``cap`` elements, reporting the
-    partial count."""
+    the way.  Raises CapExceeded past ``cap`` elements, its message giving
+    the partial count."""
     gens = tuple(gens)
     for g in gens:
         if g.degree != degree:
@@ -299,8 +299,7 @@ def enumerate_closure(degree: int, gens: Sequence[Permutation],
                 if len(images) >= cap:
                     raise CapExceeded(
                         f"group enumeration exceeded cap {cap} "
-                        f"({len(images)} elements found so far)",
-                        count=len(images))
+                        f"({len(images)} elements found so far)")
                 i = index[w] = len(images)
                 images.append(w)
             table.append(i)

@@ -20,7 +20,8 @@ growing generator ordering, as the reference for the search that skips a
 subgroup from which no ordering completes.
 
 The last block holds small readers of a built instance that only tests
-call: the smallest winning atom candidate, the automorphism check of a
+call: the smallest winning atom candidate, the neighbor count and
+generator split of a reported base atom, the automorphism check of a
 left translation, the out-edge count of a vertex set and the minimality
 of the connection set.
 """
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from cosetkit import (AtomCandidate, CosetDigraphSpec, GroupError, build, inverse,
-                      subgroup_atom_scan, transpose_spec)
+                      neighbor_set, subgroup_atom_scan, transpose, transpose_spec)
 from cosetkit.digraph import _vertex_split_network
 
 
@@ -403,6 +404,16 @@ def base_atom_candidate(winners) -> AtomCandidate | None:
     """Smallest of one side's winning candidates: the atom containing the
     base vertex on this side, when the side achieves kappa."""
     return min(winners, key=lambda c: (len(c.vertex_set), c.labels), default=None)
+
+
+def base_atom_split(cd, report) -> tuple[int, tuple[str, ...], int]:
+    """|N(A0)| on its side for the base atom A0 of a ``verify_atom_theory``
+    report, the labels S0 of the s with sH in A0, and d_S1, the degree
+    through the other labels."""
+    graph = cd.graph if report.side == "forward" else transpose(cd.graph)
+    nbrs, _ = neighbor_set(graph, report.base_atom)
+    s0 = tuple(lbl for lbl, p in cd.connection.items() if cd.vertex_of(p) in report.base_atom)
+    return len(nbrs), s0, sum(d for lbl, d in cd.degrees.items() if lbl not in s0)
 
 
 def verify_automorphism(cd, g) -> bool:

@@ -1,5 +1,6 @@
 """Subgroup atom scan, group-theoretic kappa, and the atom structure lemmas."""
 
+import itertools
 import sys
 from collections import Counter
 
@@ -187,10 +188,9 @@ class TestVerifyAtomTheory:
         cd = instance("s4_mixed")
         report = verify_atom_theory(cd, bruteforce_cap=24)
         assert report.side == "transpose"
-        assert report.kappa == 2
         assert report.atom_size == 2
         assert report.atom_count == 12
-        assert report.s0_labels == ("a^-1",)
+        assert helpers.base_atom_split(cd, report)[:2] == (2, ("a",))    # kappa, S0
         a = parse_cycles("(1 2)", 4)
         tr = transpose_spec(cd)
         assert set(report.base_atom) == {tr.base_vertex, tr.vertex_of(a)}
@@ -208,8 +208,25 @@ class TestVerifyAtomTheory:
             if cd.graph.is_complete():
                 continue
             report = verify_atom_theory(cd, bruteforce_cap=30)
-            assert report.neighbor_count >= max(report.atom_size, report.d_s1), name
-            assert report.neighbor_count % report.atom_size == 0, name
+            neighbor_count, _, d_s1 = helpers.base_atom_split(cd, report)
+            assert neighbor_count >= max(report.atom_size, d_s1), name
+            assert neighbor_count % report.atom_size == 0, name
+
+    def test_side_search_scans_each_size_once_per_side(self, monkeypatch):
+        # transpose atoms of size 2 on 12 vertices: sizes 1 and 2 are each
+        # scanned once forward and once on the transpose, 2 * (12 + 66) = 156
+        # subsets, where rescanning sizes 1..k for each k would take 180
+        examined = Counter()
+
+        def counted(pool, k):
+            for combo in itertools.combinations(pool, k):
+                examined[k] += 1
+                yield combo
+
+        monkeypatch.setattr(digraph, "combinations", counted)
+        report = verify_atom_theory(instance("s4_transpose_atom"))
+        assert (report.side, report.atom_size) == ("transpose", 2)
+        assert examined == Counter({1: 2 * 12, 2: 2 * 66})
 
     def test_complete_digraph_rejected(self):
         cd = instance("cp_4_3")

@@ -163,7 +163,7 @@ class TestAnalyze:
         # the atom theory raises on a broken partition, so the report's
         # "partition_ok" can only be true
         monkeypatch.setattr(atoms, "atoms_bruteforce",
-                            lambda *args, **kwargs: digraph.AtomSet(members))
+                            lambda *args, **kwargs: members)
         path = write_spec(tmp_path, CP42_SPEC)
         spec, _ = cli.load_spec_document(path)
         with pytest.raises(CrossCheckError, match=message):

@@ -85,18 +85,21 @@ class TestBuildShapes:
 
 class TestDegreeProfile:
     def test_cp42(self):
-        prof = cp_degree_profile(CPParams(4, 2), cp_instance(4, 2))
-        assert prof == {gamma_label(2): 1, gamma_label(3): 2}
+        cd = cp_instance(4, 2)
+        assert cp_degree_profile(CPParams(4, 2), cd) is None
+        assert cd.degrees == {gamma_label(2): 1, gamma_label(3): 2}
 
     def test_cp53(self):
-        prof = cp_degree_profile(CPParams(5, 3), cp_instance(5, 3))
-        assert prof == {gamma_label(2): 1, gamma_label(3): 3}
+        cd = cp_instance(5, 3)
+        assert cp_degree_profile(CPParams(5, 3), cd) is None
+        assert cd.degrees == {gamma_label(2): 1, gamma_label(3): 3}
 
     def test_cp_k1_all_ones(self):
         for n in (3, 4, 5):
-            prof = cp_degree_profile(CPParams(n, 1), cp_instance(n, 1))
-            assert set(prof.values()) == {1}
-            assert sum(prof.values()) == n - 1
+            cd = cp_instance(n, 1)
+            assert cp_degree_profile(CPParams(n, 1), cd) is None
+            assert set(cd.degrees.values()) == {1}
+            assert sum(cd.degrees.values()) == n - 1
 
 
 class TestProofFacts:

@@ -133,7 +133,7 @@ class TestVertexConnectivity:
     def test_cycle(self):
         kappa, cert = vertex_connectivity_transitive(directed_cycle(6), 0)
         assert kappa == 1
-        assert cert.kind == "vertex" and len(cert.separator) == 1
+        assert cert.separator == (1,) and cert.separated_pair == (0, 2)
 
     def test_complete(self):
         for n in (1, 2, 4):
@@ -227,10 +227,10 @@ class TestVertexConnectivity:
         g, base = cd.graph, cd.base_vertex
         d = len(g.adj[base])
         assert (g.vertex_count, d, helpers.vertex_connectivity_oracle(g)) == (12, 4, 3)
-        forward = atoms_bruteforce(g, kappa=3).members
+        forward = atoms_bruteforce(g, kappa=3)
         assert len(forward) == 4 and {len(a) for a in forward} == {6}
         assert any(a & b for a, b in combinations(forward, 2))
-        assert atoms_bruteforce(transpose(g), kappa=3).size == 3
+        assert {len(a) for a in atoms_bruteforce(transpose(g), kappa=3)} == {3}
         order = [base]
         for u in order:
             order += [v for v in g.adj[u] if v not in order]
@@ -256,8 +256,8 @@ def _small_side_atoms(cd):
     sides = (g, transpose(g))
     for k in range(1, limit + 1):
         for side in sides:
-            found = atoms_bruteforce(side, kappa=kappa, cap=30, max_size=k)
-            if found.members:
+            found = atoms_bruteforce(side, kappa=kappa, cap=30, size=k)
+            if found:
                 return found
     return None
 
@@ -473,9 +473,9 @@ class TestAtoms:
         g = directed_cycle(6)
         atoms = atoms_bruteforce(g, kappa=1)
         expected = helpers.atoms_fullscan_oracle(g, 1)
-        assert set(atoms.members) == expected
-        assert all(len(a) == 1 for a in atoms.members)
-        assert len(atoms.members) == 6
+        assert set(atoms) == expected
+        assert all(len(a) == 1 for a in atoms)
+        assert len(atoms) == 6
 
     def test_matches_fullscan_on_random(self):
         rng = random.Random(43)
@@ -486,7 +486,7 @@ class TestAtoms:
                 continue
             kappa = helpers.vertex_connectivity_oracle(g)
             atoms = atoms_bruteforce(g, kappa=kappa)
-            assert set(atoms.members) == helpers.atoms_fullscan_oracle(g, kappa)
+            assert set(atoms) == helpers.atoms_fullscan_oracle(g, kappa)
             checked += 1
 
     def test_complete_digraph_has_none(self):
@@ -502,17 +502,18 @@ class TestAtoms:
         # scan examines 6 subsets, so a budget of 6 suffices and 5 does not
         g = directed_cycle(6)
         for routine in (atoms_bruteforce, e_atoms_bruteforce):
-            assert len(routine(g, 1, budget=6).members) == 6
-            with pytest.raises(CapExceeded, match=r"exceeded budget 5 at size 1$") as info:
+            assert len(routine(g, 1, budget=6)) == 6
+            with pytest.raises(CapExceeded, match=r"exceeded budget 5 at size 1$"):
                 routine(g, 1, budget=5)
-            assert info.value.count == 6
 
-    def test_max_size_returns_empty(self):
-        # 6-cycle atoms are singletons, so a max_size search below 1 is
-        # impossible; instead check a graph whose atoms are bigger than 1
+    def test_size_scans_one_size(self):
+        # the 6-cycle's atoms are singletons, but size 3 scans only its
+        # subsets of three: the six arcs, each with one out-neighbor; a
+        # part of size 5 would leave no vertex outside it and N(A)
         g = directed_cycle(6)
-        found = atoms_bruteforce(g, kappa=1, max_size=3)
-        assert found.size == 1
+        arcs = {frozenset((v + i) % 6 for i in range(3)) for v in range(6)}
+        assert set(atoms_bruteforce(g, kappa=1, size=3)) == arcs
+        assert atoms_bruteforce(g, kappa=1, size=5) == ()
 
     def test_atoms_disjoint_when_small(self):
         # atoms of size at most (n - kappa)/2 are pairwise disjoint
@@ -521,7 +522,7 @@ class TestAtoms:
             if atoms is None:
                 continue
             seen = set()
-            for a in atoms.members:
+            for a in atoms:
                 assert not (seen & a), name
                 seen |= a
 
@@ -551,7 +552,7 @@ class TestSimplecLemma:
                 nb, is_part = neighbor_set(g, b)
                 if not is_part:
                     continue
-                for a in atoms.members:
+                for a in atoms:
                     if a & b and a - b:
                         na, _ = neighbor_set(g, a)
                         assert len(na - (b | nb)) < len(nb & a), name
@@ -561,20 +562,19 @@ class TestEAtoms:
     def test_cycle(self):
         g = directed_cycle(5)
         eatoms = e_atoms_bruteforce(g, lam=1)
-        assert set(eatoms.members) == helpers.e_atoms_fullscan_oracle(g, 1)
+        assert set(eatoms) == helpers.e_atoms_fullscan_oracle(g, 1)
 
     def test_complete_digraph_singletons(self):
         g = complete_digraph(4)
         eatoms = e_atoms_bruteforce(g, lam=3)
-        assert all(len(a) == 1 for a in eatoms.members)
-        assert len(eatoms.members) == 4
+        assert all(len(a) == 1 for a in eatoms)
+        assert len(eatoms) == 4
 
     def test_one_vertex_has_no_e_atoms(self):
         # no proper nonempty subset, matching edge_connectivity's (0, None)
         g = Digraph([[]])
         assert edge_connectivity(g, 0) == (0, None)
-        eatoms = e_atoms_bruteforce(g, lam=0)
-        assert eatoms.members == () and eatoms.size is None
+        assert e_atoms_bruteforce(g, lam=0) == ()
 
     def test_matches_fullscan_on_random(self):
         rng = random.Random(53)
@@ -582,7 +582,7 @@ class TestEAtoms:
             g = random_strongly_connected(rng, 7, 9)
             lam = helpers.edge_connectivity_oracle(g)
             eatoms = e_atoms_bruteforce(g, lam=lam)
-            assert set(eatoms.members) == helpers.e_atoms_fullscan_oracle(g, lam)
+            assert set(eatoms) == helpers.e_atoms_fullscan_oracle(g, lam)
 
     def test_eatom_lemma_on_corpus(self):
         # B with exactly lambda outgoing edges: A <= B, disjoint, or cover V
@@ -594,9 +594,9 @@ class TestEAtoms:
             eatoms = e_atoms_bruteforce(g, lam=lam, cap=n)
             candidates = [frozenset([v]) for v in range(n)]
             candidates += [frozenset(range(n)) - {v} for v in range(n)]
-            candidates += list(eatoms.members)
+            candidates += list(eatoms)
             for b in candidates:
                 if out_edge_count(g, b) != lam:
                     continue
-                for a in eatoms.members:
+                for a in eatoms:
                     assert a <= b or not (a & b) or a | b == set(range(n)), name

@@ -138,9 +138,8 @@ class TestClosure:
         assert {g.image for g in ctx} == expected
 
     def test_cap_reports_partial(self):
-        with pytest.raises(CapExceeded) as exc:
+        with pytest.raises(CapExceeded, match=r"exceeded cap 10 \(10 elements found so far\)$"):
             enumerate_closure(5, [perm("(1 2)", 5), perm("(1 2 3 4 5)", 5)], cap=10)
-        assert exc.value.count == 10
 
     def test_deterministic_order(self):
         gens = [perm("(1 2)", 4), perm("(1 2 3 4)", 4)]

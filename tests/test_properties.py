@@ -200,7 +200,7 @@ def test_thin_cut_instances_keep_the_atom_theory(spec):
     assert kappa == helpers.vertex_connectivity_oracle(cd.graph) \
         == kappa_group_theoretic(cd).kappa_group
     assert edge_connectivity(cd.graph, cd.base_vertex)[0] == cd.degree
-    assert verify_atom_theory(cd).kappa == kappa
+    assert helpers.base_atom_split(cd, verify_atom_theory(cd))[0] == kappa
 
 
 # (degree, G's generators, H's generators) of the transpose-atom family:

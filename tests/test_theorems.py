@@ -5,12 +5,11 @@ from itertools import combinations
 import pytest
 
 from corpus import (CORPUS_NAMES, HIERARCHICAL_CAYLEY_NAMES, SMALL_NAMES, cayley_spec,
-                    cp_instance, instance, q8_spec, Q8_I, Q8_J)
+                    cp_instance, instance, Q8_I, Q8_J)
 from cosetkit import (CosetDigraphSpec, GroupError, build, check_decomposition,
                       check_hierarchical_gen, check_hierarchical_gen_c,
                       check_tower, hierarchical_order_search, inverse,
-                      oracle_kappa, parse_cycles,
-                      verify_edge_connectivity, verify_hierarchical_cayley)
+                      parse_cycles, verify_edge_connectivity, verify_hierarchical_cayley)
 from cosetkit.cp import gamma_label
 from helpers import hierarchical_order_oracle, is_minimal
 
