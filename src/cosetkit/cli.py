@@ -204,8 +204,10 @@ def analyze_instance(spec: CosetDigraphSpec, settings: dict, with_timings: bool 
     group = stage("kappa_group_s", atoms_mod.kappa_group_theoretic, cd).kappa_group
     agree = group == oracle
     report["kappa"] = {"oracle": oracle, "group_theoretic": group, "agree": agree}
-    report["lambda"] = stage("lambda_s", edge_connectivity, cd.graph, cd.base_vertex,
-                             stabiliser_translations(cd))[0]
+    # kappa <= lambda <= d (Whitney), or kappa = lambda = n - 1 = d if complete
+    report["lambda"] = stage("lambda_s", lambda: oracle if agree and oracle == cd.degree else
+                             edge_connectivity(cd.graph, cd.base_vertex,
+                                               stabiliser_translations(cd))[0])
 
     if cd.graph.vertex_count <= bruteforce_cap and not cd.graph.is_complete():
         theory = stage("atoms_s", atoms_mod.verify_atom_theory, cd, bruteforce_cap)

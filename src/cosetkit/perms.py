@@ -8,6 +8,7 @@ Products follow the right-action convention throughout: ``compose(p, q)``
 from __future__ import annotations
 
 import re
+from array import array
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, CrossCheckError, GroupError
@@ -152,6 +153,13 @@ def _product(x: tuple[int, ...], padded: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(padded.__getitem__, x))
 
 
+def _trusted(image: tuple[int, ...]) -> Permutation:
+    """The Permutation of an image tuple already known to be a bijection."""
+    pi = object.__new__(Permutation)
+    pi.image = image
+    return pi
+
+
 class GroupContext:
     """A fully enumerated finite permutation group.
 
@@ -159,17 +167,20 @@ class GroupContext:
     first): ``elements[i]`` is element i as a Permutation, built once, and
     ``index`` maps its image tuple back to i.  ``right(p)`` is the
     right-multiplication table of p, ``table[i]`` = id of element i times p,
-    cached per p; the tables of the generators come from the enumeration.
+    cached per p: the generators' come from the enumeration, the others from
+    integer recurrences down its BFS tree, where x_i = x_parent[i] * g_step[i].
     """
 
-    __slots__ = ("degree", "elements", "index", "_right")
+    __slots__ = ("degree", "elements", "index", "_tables", "_tree", "_inverse", "_right")
 
     def __init__(self, degree: int, images: list[tuple[int, ...]],
-                 index: dict[tuple[int, ...], int], right: dict[tuple[int, ...], list[int]]):
+                 index: dict[tuple[int, ...], int], tables: list[list[int]],
+                 parent: array, step: array):
         self.degree = degree
-        self.elements = tuple(Permutation(img) for img in images)
+        self.elements = tuple(map(_trusted, images))   # products of generators
         self.index = index
-        self._right = right
+        self._tables, self._tree, self._inverse = tables, (parent, step), None
+        self._right = {images[table[0]]: table for table in tables}
 
     @property
     def identity(self) -> Permutation:
@@ -181,15 +192,29 @@ class GroupContext:
             raise GroupError(f"{pi} is not an element of the group")
         return i
 
+    def _descend(self, start: int, maps: list[list[int]]) -> list[int]:
+        """``out[0]`` = start, ``out[i]`` = maps[step[i]][out[parent[i]]]: with
+        the generators' tables, the left table of element ``start``."""
+        out = [start]
+        for p, s in zip(*self._tree):
+            out.append(maps[s][out[p]])
+        return out
+
+    def _inverses(self) -> list[int]:
+        """``inv[i]`` = id of x_i^-1, built once, as g_step[i]^-1 * x_parent[i]^-1."""
+        if self._inverse is None:
+            lefts = [self._descend(self.id_of(inverse(self.elements[t[0]])), self._tables)
+                     for t in self._tables]     # t[0] is the id of t's generator
+            self._inverse = self._descend(0, lefts)
+        return self._inverse
+
     def right(self, p: Permutation) -> list[int]:
-        """``table[i]`` = id of elements[i] * p; p must lie in the group."""
+        """``table[i]`` = id of elements[i] * p; p must lie in the group.
+        x*p = (p^-1 * x^-1)^-1, so the table is inv . left(p^-1) . inv."""
         table = self._right.get(p.image)
         if table is None:
-            self.id_of(p)
-            padded = (0,) + p.image
-            get = self.index.__getitem__
-            table = [get(_product(x.image, padded)) for x in self.elements]
-            self._right[p.image] = table
+            inv, left = self._inverses(), self._descend(self.id_of(inverse(p)), self._tables)
+            table = self._right[p.image] = [inv[left[x]] for x in inv]
         return table
 
     def product_id(self, a: int, b: int) -> int:
@@ -280,9 +305,9 @@ class SubgroupHandle:
 def enumerate_closure(degree: int, gens: Sequence[Permutation],
                       cap: int = DEFAULT_ENUM_CAP) -> GroupContext:
     """Enumerate the group generated by ``gens`` by breadth-first closure
-    under right multiplication, recording each generator's right table on
-    the way.  Raises CapExceeded past ``cap`` elements, its message giving
-    the partial count."""
+    under right multiplication, recording each generator's right table and
+    each element's BFS parent and generator index on the way.  Raises
+    CapExceeded past ``cap`` elements, its message giving the partial count."""
     gens = tuple(gens)
     for g in gens:
         if g.degree != degree:
@@ -291,9 +316,10 @@ def enumerate_closure(degree: int, gens: Sequence[Permutation],
     index = {images[0]: 0}
     padded = [(0,) + g.image for g in gens]
     tables: list[list[int]] = [[] for _ in gens]
-    for x in images:                    # FIFO: the list grows while it is read
-        for s, table in zip(padded, tables):
-            w = _product(x, s)
+    parent, step = array("i"), array("i")   # the BFS tree, for elements 1, 2, ...
+    for x_id, x in enumerate(images):   # FIFO: the list grows while it is read
+        for s, (g, table) in enumerate(zip(padded, tables)):
+            w = _product(x, g)
             i = index.get(w)
             if i is None:
                 if len(images) >= cap:
@@ -302,9 +328,10 @@ def enumerate_closure(degree: int, gens: Sequence[Permutation],
                         f"({len(images)} elements found so far)")
                 i = index[w] = len(images)
                 images.append(w)
+                parent.append(x_id)
+                step.append(s)
             table.append(i)
-    right = {g.image: table for g, table in zip(gens, tables)}
-    return GroupContext(degree, images, index, right)
+    return GroupContext(degree, images, index, tables, parent, step)
 
 
 def trivial_subgroup(ctx: GroupContext) -> SubgroupHandle:

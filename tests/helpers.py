@@ -17,7 +17,9 @@ orbit-minima oracle joins the vertices by union-find, as the reference for
 the orbits of the flow routines' sinks, which come from one breadth-first
 walk over ``perms.orbit``.  The plain ordering search tries every strictly
 growing generator ordering, as the reference for the search that skips a
-subgroup from which no ordering completes.
+subgroup from which no ordering completes.  The right-table oracle
+multiplies image tuples and looks each product up, as the reference for
+the right tables read off the enumeration's breadth-first tree.
 
 The last block holds small readers of a built instance that only tests
 call: the smallest winning atom candidate, the neighbor count and
@@ -59,6 +61,12 @@ def closure_images(degree: int, gens) -> list[tuple[int, ...]]:
                     new_frontier.append(w)
         frontier = new_frontier
     return elements
+
+
+def right_table_oracle(G, p) -> list[int]:
+    """``table[i]`` = id of G.elements[i] * p, by one tuple product and one
+    index lookup per element."""
+    return [G.index[apply_then(x.image, p.image)] for x in G.elements]
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,16 @@ S4_MIXED_SPEC = {
 
 CP42_SPEC = {"family": "cp", "n": 4, "k": 2}
 
+# Z_3 x Z_2 on the points 1..3 and 4..5: the block {0} x Z_2 has the two
+# out-neighbours {1} x Z_2 and misses {2} x Z_2, so kappa = 2 < d = 3
+THIN_CUT_SPEC = {
+    "degree": 5,
+    "group_generators": ["(1 2 3)", "(4 5)"],
+    "connection_set": [{"label": "0,1", "perm": "(4 5)"},
+                       {"label": "1,0", "perm": "(1 2 3)"},
+                       {"label": "1,1", "perm": "(1 2 3)(4 5)"}],
+}
+
 DISCONNECTED_SPEC = {
     "degree": 6,
     "group_generators": ["(1 2 3 4 5 6)"],
@@ -169,6 +179,30 @@ class TestAnalyze:
         with pytest.raises(CrossCheckError, match=message):
             atoms.verify_atom_theory(coset.build(spec))
         assert run(capsys, "analyze", path) == (2, "", f"internal inconsistency: {message}\n")
+
+    @pytest.mark.parametrize("doc, oracle_is_d, kappa, code, flows", [
+        (CP42_SPEC, False, 3, 0, 0),
+        (S4_MIXED_SPEC, False, 2, 0, 1),
+        (THIN_CUT_SPEC, False, 2, 0, 1),
+        (S4_MIXED_SPEC, True, 3, 2, 1),
+    ], ids=("kappa_is_d", "s4_mixed", "thin_cut", "disagreement"))
+    def test_lambda_flow_runs_only_where_kappa_is_not_d(self, tmp_path, capsys, monkeypatch,
+                                                        doc, oracle_is_d, kappa, code, flows):
+        # lambda = d = 3 needs no flow where both routes give kappa = d; the
+        # disagreement has the flow route say d where the group route says 2
+        calls = []
+        original = cli.edge_connectivity
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(cli, "edge_connectivity", counted)
+        if oracle_is_d:
+            monkeypatch.setattr(cli, "oracle_kappa", lambda cd: cd.degree)
+        exit_code, out, _ = run(capsys, "analyze", write_spec(tmp_path, doc))
+        report = json.loads(out)
+        assert (exit_code, len(calls)) == (code, flows)
+        assert (report["kappa"]["oracle"], report["lambda"]) == (kappa, 3)
 
     def test_connectivity_and_flow_kappa_computed_once(self, tmp_path, capsys,
                                                         monkeypatch):

@@ -1,5 +1,6 @@
 """Permutation arithmetic, closure enumeration, cosets and double cosets."""
 
+import functools
 import random
 from itertools import permutations
 
@@ -10,8 +11,10 @@ from cosetkit import (CapExceeded, GroupError, Permutation, canonical_coset_rep,
                       enumerate_closure, inverse, left_coset_reps, normalizes,
                       parse_cycles, print_cycles, subgroup_generated,
                       trivial_subgroup)
+from corpus import CORPUS_SPECS
+from cosetkit.cp import CPParams, cp_spec
 from cosetkit.perms import orbit
-from helpers import apply_then
+from helpers import apply_then, right_table_oracle
 
 
 def perm(text, n):
@@ -146,6 +149,44 @@ class TestClosure:
         ctx1 = enumerate_closure(4, gens)
         ctx2 = enumerate_closure(4, gens)
         assert [g.image for g in ctx1] == [g.image for g in ctx2]
+
+
+GROUP_SPECS = dict(CORPUS_SPECS, **{f"cp_{n}": functools.partial(cp_spec, CPParams(n, 1))
+                                    for n in range(2, 7)})
+
+
+@functools.cache
+def fresh_group(name):
+    """The group of a corpus spec or of CP(n, 1), enumerated apart from the
+    corpus instances, so that its right tables are computed here."""
+    spec = GROUP_SPECS[name]()
+    return enumerate_closure(spec.degree, spec.group_generators)
+
+
+class TestRightTables:
+    """Right tables read off the breadth-first tree by integer recurrences
+    equal the tuple products, and so does the inverse table they rest on.
+    Every CP(n, k) spec has the generators (1 2) and (1 2 .. n), so one
+    k per n covers its group."""
+
+    @pytest.mark.parametrize("name", GROUP_SPECS)
+    def test_every_element_matches_the_oracle(self, name):
+        G = fresh_group(name)
+        assert all(G.right(p) == right_table_oracle(G, p) for p in G.elements)
+
+    @pytest.mark.parametrize("name", GROUP_SPECS)
+    def test_inverse_table(self, name):
+        G = fresh_group(name)
+        inv, e = G._inverses(), G.identity.image
+        assert all(inv[inv[x]] == x for x in range(len(G)))
+        assert all(apply_then(p.image, G.elements[inv[x]].image) == e
+                   for x, p in enumerate(G.elements))
+
+    def test_random_elements_of_s7(self):
+        s7 = enumerate_closure(7, [perm("(1 2)", 7), perm("(1 2 3 4 5 6 7)", 7)])
+        rng = random.Random(7)
+        for p in rng.sample(s7.elements, 12):
+            assert s7.right(p) == right_table_oracle(s7, p)
 
 
 class TestSubgroups:

@@ -14,6 +14,10 @@ construction), flow κ from the one pass over the first 2d + 1 breadth-first
 places must equal the full pass over every orbit, with a certificate that
 separates its pair, and κ must equal networkx's node connectivity of the
 exported edge list, a third oracle that shares no code with cosetkit's flows.
+On every connected draw of these specs, of the thin-cut specs and of
+Cayley digraphs of Z_n x Z_m on random connection sets, the flow λ lies
+between κ and d, equals d wherever κ = d, and is what ``analyze``
+reports, with or without a flow.
 On a family built by enumeration, whose transpose atoms are smaller than
 its forward atoms, with its points renamed at random, the atom theory and
 the analyze report must use the transpose side and its atom.
@@ -181,12 +185,17 @@ def thin_cut_specs(draw):
     most = min(n - 2, (13 - m) // m)
     a = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=most)
              .filter(lambda a: gcd(n, *a) == 1))
+    pairs = [(0, y) for y in range(1, m)] + [(x, y) for x in sorted(a) for y in range(m)]
+    return _product_cayley_spec(n, m, pairs)
 
+
+def _product_cayley_spec(n: int, m: int, pairs) -> CosetDigraphSpec:
+    """The Cayley digraph of Z_n x Z_m on the connection set ``pairs``, with
+    (x, y) acting on n + m points as x on the first n and y on the last m."""
     def element(x, y):
         return Permutation([(i + x) % n + 1 for i in range(n)]
                            + [n + (j + y) % m + 1 for j in range(m)])
 
-    pairs = [(0, y) for y in range(1, m)] + [(x, y) for x in sorted(a) for y in range(m)]
     return CosetDigraphSpec(n + m, (element(1, 0), element(0, 1)), (),
                             tuple((f"{x},{y}", element(x, y)) for x, y in pairs))
 
@@ -201,6 +210,35 @@ def test_thin_cut_instances_keep_the_atom_theory(spec):
         == kappa_group_theoretic(cd).kappa_group
     assert edge_connectivity(cd.graph, cd.base_vertex)[0] == cd.degree
     assert helpers.base_atom_split(cd, verify_atom_theory(cd))[0] == kappa
+
+
+@st.composite
+def product_cayley_specs(draw):
+    """Cayley digraphs of Z_n x Z_m with at most 18 vertices on 1 to 12
+    nonzero connection elements drawn at random."""
+    n, m = draw(st.sampled_from([(n, m) for n in range(2, 10) for m in range(1, 7)
+                                 if 3 <= n * m <= 18]))
+    nonzero = [(x, y) for x in range(n) for y in range(m) if (x, y) != (0, 0)]
+    pairs = draw(st.lists(st.sampled_from(nonzero), min_size=1,
+                          max_size=min(12, len(nonzero)), unique=True))
+    return _product_cayley_spec(n, m, sorted(pairs))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.one_of(coset_specs(), product_cayley_specs(), thin_cut_specs()))
+def test_lambda_is_d_wherever_kappa_is_d(spec):
+    # kappa <= lambda <= d on every connected draw, lambda = d by flow on
+    # every draw with kappa = d, and analyze reports the flow's lambda
+    cd = build(spec)
+    if not generation_connectivity(cd)[0]:
+        return
+    kappa, d = oracle_kappa(cd), cd.degree
+    lam, _ = edge_connectivity(cd.graph, cd.base_vertex, stabiliser_translations(cd))
+    assert kappa <= lam <= d
+    if kappa == d:
+        assert lam == d
+    report, code = cli.analyze_instance(spec, {"bruteforce_cap": 0})
+    assert (code, report["lambda"]) == (0, lam)
 
 
 # (degree, G's generators, H's generators) of the transpose-atom family:
