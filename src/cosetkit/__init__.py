@@ -10,8 +10,8 @@ from .digraph import (CutCertificate, Digraph, atoms_bruteforce,
                       e_atoms_bruteforce, edge_connectivity, is_strongly_connected,
                       neighbor_set, strongly_connected_components, transpose,
                       vertex_connectivity_transitive)
-from .errors import (CapExceeded, CompleteDigraphError, CrossCheckError,
-                     GroupError, NotStronglyConnected, SpecError)
+from .errors import (CapExceeded, CrossCheckError, GroupError,
+                     NotStronglyConnected, SpecError)
 from .perms import (GroupContext, Permutation, SubgroupHandle,
                     canonical_coset_rep, compose, double_coset,
                     double_coset_index, enumerate_closure, inverse,

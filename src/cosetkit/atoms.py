@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .coset import (CosetDigraph, generation_connectivity, oracle_kappa,
                     stabiliser_translations)
-from .digraph import DEFAULT_BRUTEFORCE_CAP, atoms_bruteforce, neighbor_set, transpose
+from .digraph import atoms_bruteforce, neighbor_set, transpose
 from .errors import CapExceeded, CrossCheckError, GroupError
 from .perms import inverse, orbit
 
@@ -84,8 +84,7 @@ def subgroup_atom_scan(cd: CosetDigraph) -> tuple[list[AtomCandidate], list[Atom
 def kappa_group_theoretic(cd: CosetDigraph) -> AtomAnalysis:
     """Vertex connectivity from the subgroup scan on both the digraph and
     its transpose: kappa = min(d, neighbor counts of part candidates)."""
-    connected, _, _ = generation_connectivity(cd)
-    if not connected:
+    if not generation_connectivity(cd)[0]:
         raise GroupError("digraph is disconnected; kappa is undefined")
     forward, backward = subgroup_atom_scan(cd)
     kappa = cd.degree
@@ -109,8 +108,7 @@ class AtomTheoryReport:
     base_atom: tuple[int, ...]
 
 
-def verify_atom_theory(cd: CosetDigraph,
-                       bruteforce_cap: int = DEFAULT_BRUTEFORCE_CAP) -> AtomTheoryReport:
+def verify_atom_theory(cd: CosetDigraph) -> AtomTheoryReport:
     """Brute-force the atoms on whichever side satisfies the size
     assumption and check the structure theory against them:
 
@@ -123,19 +121,17 @@ def verify_atom_theory(cd: CosetDigraph,
     Atoms of size at most (n - kappa)/2 must exist on at least one side;
     both sides failing would falsify the size lemma and raises.  Each
     size is scanned once per side, forward first, so the smallest atoms
-    win and the forward side wins a tie.
+    win and the forward side wins a tie.  A size past the subset budget
+    raises ``CapExceeded``; whether to run at all is the caller's choice.
     """
     n = cd.graph.vertex_count
-    if n > bruteforce_cap:
-        raise CapExceeded(f"{n} vertices exceeds the brute-force cap "
-                          f"bruteforce_cap = {bruteforce_cap}")
     if cd.graph.is_complete():
         raise GroupError("complete digraph: no atoms to verify")
     kappa = oracle_kappa(cd)
     limit = (n - kappa) // 2
     sides = (("forward", cd.graph), ("transpose", transpose(cd.graph)))
 
-    tried = ((side, graph, atoms_bruteforce(graph, kappa=kappa, cap=bruteforce_cap, size=k))
+    tried = ((side, graph, atoms_bruteforce(graph, kappa, k))
              for k in range(1, limit + 1) for side, graph in sides)
     chosen = next((hit for hit in tried if hit[2]), None)
     if chosen is None:

@@ -26,7 +26,7 @@ from . import theorems
 from .coset import (CosetDigraph, CosetDigraphSpec, build,
                     generation_connectivity, oracle_kappa, stabiliser_translations)
 from .cp import CPParams, cp_spec, verify_cp_argument
-from .digraph import DEFAULT_BRUTEFORCE_CAP, edge_connectivity
+from .digraph import edge_connectivity
 from .errors import (CapExceeded, CrossCheckError, GroupError,
                      NotStronglyConnected, SpecError)
 from .perms import DEFAULT_ENUM_CAP, parse_cycles, print_cycles
@@ -37,6 +37,7 @@ EXIT_INCONSISTENT = 2
 EXIT_HYPOTHESES = 3
 
 ENUM_CAP_ENV = "COSET_ENUM_CAP"
+DEFAULT_BRUTEFORCE_CAP = 18     # vertices; larger instances skip the atom stage
 
 
 def json_bytes(obj) -> str:
@@ -184,7 +185,7 @@ def analyze_instance(spec: CosetDigraphSpec, settings: dict, with_timings: bool 
     cd = stage("build_s", build, spec)
     if verify is not None:
         verify(cd)
-    connected, _, components = stage("connectivity_s", generation_connectivity, cd)
+    connected, components = stage("connectivity_s", generation_connectivity, cd)
 
     instance = {
         "group_order": len(cd.group),
@@ -210,7 +211,7 @@ def analyze_instance(spec: CosetDigraphSpec, settings: dict, with_timings: bool 
                                                stabiliser_translations(cd))[0])
 
     if cd.graph.vertex_count <= bruteforce_cap and not cd.graph.is_complete():
-        theory = stage("atoms_s", atoms_mod.verify_atom_theory, cd, bruteforce_cap)
+        theory = stage("atoms_s", atoms_mod.verify_atom_theory, cd)
         absent = {"found": False, "size": None, "count": None, "base_atom": None}
         report["atoms"] = {"forward": absent, "transpose": absent,
                            "partition_ok": True,    # else verify_atom_theory raised

@@ -60,7 +60,7 @@ class CosetDigraph:
         self.base_vertex = self.vertex_of(group.identity)
         self._closures: dict[frozenset[str], SubgroupHandle] = {}
         self._subgroups: dict[tuple[int, ...], SubgroupHandle] = {}
-        self._connectivity: tuple[bool, SubgroupHandle, list[list[int]]] | None = None
+        self._connectivity: tuple[bool, list[list[int]]] | None = None
         self._kappa: int | None = None
         self._translations: tuple[tuple[int, ...], ...] | None = None
 
@@ -171,11 +171,11 @@ def _build_on(spec: CosetDigraphSpec, group: GroupContext,
                         degrees, connection)
 
 
-def generation_connectivity(cd: CosetDigraph):
-    """Connectivity decided group-theoretically: the digraph is connected
-    iff H and the connection set generate G, and in general the components
-    are the coset sets (g<H,S>)/H.  Cross-checked against the digraph's
-    strongly connected components; computed once per instance."""
+def generation_connectivity(cd: CosetDigraph) -> tuple[bool, list[list[int]]]:
+    """(connected, components), decided group-theoretically: the digraph is
+    connected iff H and the connection set generate G, and in general the
+    components are the coset sets (g<H,S>)/H.  Cross-checked against the
+    digraph's strongly connected components; computed once per instance."""
     if cd._connectivity is not None:
         return cd._connectivity
     generated = cd.closure(cd.labels)
@@ -194,7 +194,7 @@ def generation_connectivity(cd: CosetDigraph):
     scc = cd.graph.strong_components()
     if sorted(map(frozenset, scc)) != sorted(map(frozenset, components)):
         raise CrossCheckError("group-theoretic components disagree with SCCs")
-    cd._connectivity = (connected, generated, components)
+    cd._connectivity = (connected, components)
     return cd._connectivity
 
 

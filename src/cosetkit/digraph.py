@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceeded, CompleteDigraphError, CrossCheckError, NotStronglyConnected
+from .errors import CapExceeded, CrossCheckError, NotStronglyConnected
 from .perms import orbit
 
-DEFAULT_BRUTEFORCE_CAP = 18
-DEFAULT_SUBSET_BUDGET = 2_000_000
+SUBSET_BUDGET = 2_000_000
 
 
 class Digraph:
@@ -384,76 +384,47 @@ def edge_connectivity(g: Digraph, base: int,
     return lam, CutCertificate(cut, (base, sink))
 
 
-def _scan_minimum_subsets(g: Digraph, accept, sizes: range,
-                          budget: int) -> tuple[frozenset[int], ...]:
-    """Scan subsets by increasing size in ``sizes``; return all hits of the
-    first size with any.  Equivalent to a full subset scan for
-    minimum-cardinality targets, but stops as soon as the minimum is known."""
-    examined = 0
-    for k in sizes:
-        hits = []
-        for combo in combinations(range(g.vertex_count), k):
-            examined += 1
-            if examined > budget:
-                raise CapExceeded(f"subset scan exceeded budget {budget} at size {k}")
-            if accept(combo):
-                hits.append(frozenset(combo))
-        if hits:
-            return tuple(hits)
-    return ()
-
-
-def atoms_bruteforce(g: Digraph, kappa: int,
-                     cap: int = DEFAULT_BRUTEFORCE_CAP,
-                     size: int | None = None,
-                     budget: int = DEFAULT_SUBSET_BUDGET) -> tuple[frozenset[int], ...]:
-    """All minimum-cardinality parts A with |N(A)| = kappa.
-
-    ``size``, when given, is the one size scanned, and the result is the
-    parts of that size with kappa neighbors, possibly none: the atoms when
-    no smaller part has kappa neighbors, as in the two-sided
-    size-assumption search, which scans each size once per side.  Without
-    it atoms always exist for a non-complete strongly connected digraph.
-    """
-    _require_strongly_connected(g)
-    if g.is_complete():
-        raise CompleteDigraphError("complete digraphs have no atoms")
+def atoms_bruteforce(g: Digraph, kappa: int, size: int) -> tuple[frozenset[int], ...]:
+    """The parts of ``size`` vertices with exactly kappa neighbors, possibly
+    none: the atoms when no smaller part has kappa neighbors, as in the
+    two-sided size-assumption search, which scans each size once per side.
+    A scan of more than SUBSET_BUDGET subsets is refused before it starts."""
     n = g.vertex_count
-    if n > cap:
-        raise CapExceeded(f"digraph has {n} vertices, brute-force cap is {cap}")
+    if size + kappa >= n:
+        return ()
+    if comb(n, size) > SUBSET_BUDGET:
+        raise CapExceeded(f"subset scan exceeded budget {SUBSET_BUDGET} at size {size}")
     adj = g.adj
-    sizes = range(1, n - kappa) if size is None else range(size, min(size + 1, n - kappa))
-
-    def accept(combo: tuple[int, ...]) -> bool:
+    hits = []
+    for combo in combinations(range(n), size):
         nbrs: set[int] = set()
         for v in combo:
             nbrs.update(adj[v])
         nbrs.difference_update(combo)
-        return len(nbrs) == kappa and len(combo) + kappa < n
-
-    atoms = _scan_minimum_subsets(g, accept, sizes, budget)
-    if not atoms and size is None:
-        raise CrossCheckError("no atom found in a non-complete digraph")
-    return atoms
+        if len(nbrs) == kappa:
+            hits.append(frozenset(combo))
+    return tuple(hits)
 
 
-def e_atoms_bruteforce(g: Digraph, lam: int,
-                       cap: int = DEFAULT_BRUTEFORCE_CAP,
-                       budget: int = DEFAULT_SUBSET_BUDGET) -> tuple[frozenset[int], ...]:
+def e_atoms_bruteforce(g: Digraph, lam: int) -> tuple[frozenset[int], ...]:
     """All minimum-cardinality proper nonempty subsets with exactly lambda
-    outgoing edges; none on one vertex, which has no such subset."""
+    outgoing edges, scanning sizes upward under one cumulative budget of
+    SUBSET_BUDGET subsets; none on one vertex, which has no such subset."""
     _require_strongly_connected(g)
     n = g.vertex_count
-    if n > cap:
-        raise CapExceeded(f"digraph has {n} vertices, brute-force cap is {cap}")
     adj = g.adj
-
-    def accept(combo: tuple[int, ...]) -> bool:
-        inside = set(combo)
-        out_edges = sum(w not in inside for v in combo for w in adj[v])
-        return out_edges == lam
-
-    e_atoms = _scan_minimum_subsets(g, accept, range(1, n), budget)
-    if not e_atoms and n > 1:
+    examined = 0
+    for k in range(1, n):
+        hits = []
+        for combo in combinations(range(n), k):
+            examined += 1
+            if examined > SUBSET_BUDGET:
+                raise CapExceeded(f"subset scan exceeded budget {SUBSET_BUDGET} at size {k}")
+            inside = set(combo)
+            if sum(w not in inside for v in combo for w in adj[v]) == lam:
+                hits.append(frozenset(combo))
+        if hits:
+            return tuple(hits)
+    if n > 1:
         raise CrossCheckError("no e-atom found in a strongly connected digraph")
-    return e_atoms
+    return ()

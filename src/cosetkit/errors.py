@@ -13,10 +13,6 @@ class NotStronglyConnected(ValueError):
     """Operation requires a strongly connected digraph."""
 
 
-class CompleteDigraphError(ValueError):
-    """Complete digraphs have no atoms."""
-
-
 class CapExceeded(RuntimeError):
     """An enumeration or search exceeded its configured cap; the message
     names the cap and its value."""

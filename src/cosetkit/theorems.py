@@ -56,8 +56,7 @@ def sub_instance(cd: CosetDigraph, labels) -> tuple[Digraph, tuple[tuple[int, ..
 
 
 def _require_connected(cd: CosetDigraph) -> None:
-    connected, _, _ = generation_connectivity(cd)
-    if not connected:
+    if not generation_connectivity(cd)[0]:
         raise GroupError("instance is disconnected")
 
 

@@ -105,8 +105,7 @@ def random_coset_specs(count: int = 3, seed: int = 90413) -> tuple[CosetDigraphS
             continue
         spec = CosetDigraphSpec(5, (a, b), (h_gen,), (("s1", s1), ("s2", s2)))
         cd = build(spec)
-        connected, _, _ = generation_connectivity(cd)
-        if not connected:
+        if not generation_connectivity(cd)[0]:
             continue
         specs.append(spec)
     return tuple(specs)

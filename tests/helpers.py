@@ -19,7 +19,9 @@ walk over ``perms.orbit``.  The plain ordering search tries every strictly
 growing generator ordering, as the reference for the search that skips a
 subgroup from which no ordering completes.  The right-table oracle
 multiplies image tuples and looks each product up, as the reference for
-the right tables read off the enumeration's breadth-first tree.
+the right tables read off the enumeration's breadth-first tree.  The atom
+oracle runs the package's one-size subset scan at sizes 1, 2, ... until
+one hits: the atoms of a digraph, for the tests that need them whole.
 
 The last block holds small readers of a built instance that only tests
 call: the smallest winning atom candidate, the neighbor count and
@@ -34,8 +36,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from cosetkit import (AtomCandidate, CosetDigraphSpec, GroupError, build, inverse,
-                      neighbor_set, subgroup_atom_scan, transpose, transpose_spec)
+from cosetkit import (AtomCandidate, CosetDigraphSpec, GroupError, atoms_bruteforce, build,
+                      inverse, neighbor_set, subgroup_atom_scan, transpose, transpose_spec)
 from cosetkit.digraph import _vertex_split_network
 
 
@@ -378,6 +380,17 @@ def atoms_fullscan_oracle(g, kappa: int) -> set[frozenset[int]]:
         elif len(members) == best_size:
             hits.add(frozenset(members))
     return hits
+
+
+def atoms_oracle(g, kappa: int) -> tuple[frozenset[int], ...]:
+    """All minimum-cardinality parts A with |N(A)| = kappa, by the one-size
+    scan at each size in turn; a non-complete strongly connected digraph
+    has some, so finding none fails."""
+    for size in range(1, g.vertex_count - kappa):
+        atoms = atoms_bruteforce(g, kappa, size)
+        if atoms:
+            return atoms
+    raise AssertionError("no atom found in a non-complete digraph")
 
 
 def e_atoms_fullscan_oracle(g, lam: int) -> set[frozenset[int]]:

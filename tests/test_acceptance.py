@@ -11,7 +11,7 @@ from math import factorial
 
 from corpus import (CORPUS_NAMES, HIERARCHICAL_CAYLEY_NAMES, cp_instance,
                     instance, mixed_gens_spec, z6_disconnected_spec)
-from cosetkit import (Permutation, atoms_bruteforce, build, canonical_coset_rep,
+from cosetkit import (Permutation, build, canonical_coset_rep,
                       check_decomposition, cli, compose, e_atoms_bruteforce,
                       edge_connectivity, enumerate_closure,
                       generation_connectivity, hierarchical_order_search,
@@ -23,7 +23,7 @@ from cosetkit import (Permutation, atoms_bruteforce, build, canonical_coset_rep,
                       verify_hierarchical_cayley,
                       vertex_connectivity_transitive)
 from cosetkit.cp import CPParams, cp_degree_profile, gamma_label
-from helpers import base_atom_split, out_edge_count, verify_automorphism
+from helpers import atoms_oracle, base_atom_split, out_edge_count, verify_automorphism
 
 _MODULE_T0 = time.perf_counter()
 
@@ -46,7 +46,7 @@ def test_criterion_1_mixed_generator_instances():
         oracle, _ = vertex_connectivity_transitive(cd.graph, cd.base_vertex)
         assert oracle == 2 and kappa_group_theoretic(cd).kappa_group == 2
 
-        theory = verify_atom_theory(cd, bruteforce_cap=130)
+        theory = verify_atom_theory(cd)
         assert theory.side == "transpose"
         assert set(theory.base_atom) == {tr.base_vertex, tr.vertex_of(a)}
 
@@ -122,7 +122,7 @@ def test_criterion_4_edge_connectivity():
         assert report.computed_kappa == sum(cd.degrees.values()), name
         assert report.consistent, name  # includes singleton e-atoms
         n = cd.graph.vertex_count
-        eatoms = e_atoms_bruteforce(cd.graph, lam=report.computed_kappa, cap=n)
+        eatoms = e_atoms_bruteforce(cd.graph, lam=report.computed_kappa)
         assert eatoms == tuple(frozenset([v]) for v in range(n)), name
     _report(4, f"lambda = sum d_s and singleton e-atoms on "
                f"{len(CORPUS_NAMES)} instances")
@@ -190,7 +190,7 @@ def test_criterion_8_atom_structure_lemmas():
     cap_names = [n for n in CORPUS_NAMES if not instance(n).graph.is_complete()]
     for name in cap_names:
         cd = instance(name)
-        report = verify_atom_theory(cd, bruteforce_cap=130)
+        report = verify_atom_theory(cd)
         neighbor_count, _, d_s1 = base_atom_split(cd, report)
         assert neighbor_count % report.atom_size == 0, name
         assert neighbor_count >= max(report.atom_size, d_s1), name
@@ -201,7 +201,7 @@ def test_criterion_8_atom_structure_lemmas():
         g = cd.graph
         n = g.vertex_count
         kappa, _ = vertex_connectivity_transitive(g, cd.base_vertex)
-        atoms = atoms_bruteforce(g, kappa=kappa, cap=30)
+        atoms = atoms_oracle(g, kappa)
         # exchange inequality on sampled (atom, part) pairs
         for _ in range(200):
             b = frozenset(rng.sample(range(n), rng.randrange(1, n)))
@@ -214,7 +214,7 @@ def test_criterion_8_atom_structure_lemmas():
                     assert len(na - (b | nb)) < len(nb & a), name
         # e-atom trichotomy on every sampled lambda-boundary set
         lam, _ = edge_connectivity(g, cd.base_vertex)
-        eatoms = e_atoms_bruteforce(g, lam=lam, cap=n)
+        eatoms = e_atoms_bruteforce(g, lam=lam)
         candidates = [frozenset([v]) for v in range(n)]
         candidates += [frozenset(range(n)) - {v} for v in range(n)]
         for b in candidates:
@@ -233,11 +233,12 @@ def test_criterion_9_transitivity_facts():
         for _ in range(5):
             g = cd.group.elements[rng.randrange(len(cd.group))]
             assert verify_automorphism(cd, g), name
-        connected, generated, _ = generation_connectivity(cd)
-        assert connected == (len(generated) == len(cd.group)), name
+        connected, _ = generation_connectivity(cd)
+        assert connected == (len(cd.closure(cd.labels)) == len(cd.group)), name
 
     cd = build(z6_disconnected_spec())
-    connected, generated, components = generation_connectivity(cd)
+    connected, components = generation_connectivity(cd)
+    generated = cd.closure(cd.labels)
     assert not connected
     assert len(generated) == 3
     coset_components = set()

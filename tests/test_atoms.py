@@ -186,7 +186,7 @@ class TestKappaGroupTheoretic:
 class TestVerifyAtomTheory:
     def test_s4_mixed_twelve_translates(self):
         cd = instance("s4_mixed")
-        report = verify_atom_theory(cd, bruteforce_cap=24)
+        report = verify_atom_theory(cd)
         assert report.side == "transpose"
         assert report.atom_size == 2
         assert report.atom_count == 12
@@ -207,7 +207,7 @@ class TestVerifyAtomTheory:
             cd = instance(name)
             if cd.graph.is_complete():
                 continue
-            report = verify_atom_theory(cd, bruteforce_cap=30)
+            report = verify_atom_theory(cd)
             neighbor_count, _, d_s1 = helpers.base_atom_split(cd, report)
             assert neighbor_count >= max(report.atom_size, d_s1), name
             assert neighbor_count % report.atom_size == 0, name
@@ -232,14 +232,3 @@ class TestVerifyAtomTheory:
         cd = instance("cp_4_3")
         with pytest.raises(GroupError):
             verify_atom_theory(cd)
-
-    def test_cap_enforced(self):
-        cd = instance("s4_mixed")
-        with pytest.raises(CapExceeded, match="bruteforce_cap = 18"):
-            verify_atom_theory(cd, bruteforce_cap=18)
-
-    def test_default_cap_is_the_cli_default(self):
-        # the same default as `cosetkit analyze`, which reports no atoms
-        # for s4_mixed (24 vertices) without a bruteforce_cap setting
-        with pytest.raises(CapExceeded, match="bruteforce_cap = 18"):
-            verify_atom_theory(instance("s4_mixed"))

@@ -115,16 +115,16 @@ class TestGenerationConnectivity:
     def test_connected_instances(self):
         for name in SMALL_NAMES:
             cd = instance(name)
-            connected, generated, components = generation_connectivity(cd)
+            connected, components = generation_connectivity(cd)
             assert connected, name
-            assert len(generated) == len(cd.group), name
+            assert len(cd.closure(cd.labels)) == len(cd.group), name
             assert components == [sorted(range(len(cd.vertices)))], name
 
     def test_z6_square_two_components(self):
         cd = build(z6_disconnected_spec())
-        connected, generated, components = generation_connectivity(cd)
+        connected, components = generation_connectivity(cd)
         assert not connected
-        assert len(generated) == 3
+        assert len(cd.closure(cd.labels)) == 3
         assert len(components) == 2
         assert all(len(c) == 3 for c in components)
         # each component is a directed 3-cycle
@@ -137,18 +137,17 @@ class TestGenerationConnectivity:
     def test_empty_connection_set(self):
         a = perm("(1 2)", 3)
         cd = build(CosetDigraphSpec(3, (a,), (), ()))
-        connected, _, components = generation_connectivity(cd)
+        connected, components = generation_connectivity(cd)
         assert not connected
         assert components == [[0], [1]]
         cd_h_equals_g = build(CosetDigraphSpec(3, (a,), (a,), ()))
-        connected, _, components = generation_connectivity(cd_h_equals_g)
+        connected, components = generation_connectivity(cd_h_equals_g)
         assert connected and components == [[0]]
 
     def test_strong_connectivity_matches_group_verdict(self):
         for spec in (z6_spec(), z6_disconnected_spec(), mixed_gens_spec(4)):
             cd = build(spec)
-            connected, _, _ = generation_connectivity(cd)
-            assert is_strongly_connected(cd.graph) == connected
+            assert is_strongly_connected(cd.graph) == generation_connectivity(cd)[0]
 
     def test_weak_equals_strong_on_transitive(self):
         # on vertex-transitive digraphs, weak connectivity implies strong
@@ -171,7 +170,7 @@ class TestGenerationConnectivity:
                         stack.append(y)
             seen |= comp
             weak_comps.add(frozenset(comp))
-        _, _, components = generation_connectivity(cd)
+        _, components = generation_connectivity(cd)
         assert weak_comps == {frozenset(c) for c in components}
 
 
@@ -261,7 +260,7 @@ class TestClosure:
         cd = instance(name)
         label_sets = [chosen for r in range(len(cd.labels) + 1)
                       for chosen in combinations(cd.labels, r)]
-        whole = generation_connectivity(cd)[1]
+        whole = cd.closure(cd.labels)
         generating = [c for c in label_sets if len(cd.closure(c)) == len(cd.group)]
         assert len(generating) >= 2, name
         assert all(cd.closure(c) is whole for c in generating), name

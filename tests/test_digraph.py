@@ -8,7 +8,7 @@ import pytest
 import helpers
 from corpus import CORPUS_NAMES, SMALL_NAMES, cp_instance, instance
 from cosetkit import digraph
-from cosetkit import (CapExceeded, CompleteDigraphError, CosetDigraphSpec, CrossCheckError,
+from cosetkit import (CapExceeded, CosetDigraphSpec, CrossCheckError,
                       Digraph, NotStronglyConnected, atoms_bruteforce, build, compose,
                       e_atoms_bruteforce, edge_connectivity,
                       is_strongly_connected, neighbor_set, parse_cycles,
@@ -227,10 +227,10 @@ class TestVertexConnectivity:
         g, base = cd.graph, cd.base_vertex
         d = len(g.adj[base])
         assert (g.vertex_count, d, helpers.vertex_connectivity_oracle(g)) == (12, 4, 3)
-        forward = atoms_bruteforce(g, kappa=3)
+        forward = helpers.atoms_oracle(g, 3)
         assert len(forward) == 4 and {len(a) for a in forward} == {6}
         assert any(a & b for a, b in combinations(forward, 2))
-        assert {len(a) for a in atoms_bruteforce(transpose(g), kappa=3)} == {3}
+        assert {len(a) for a in helpers.atoms_oracle(transpose(g), 3)} == {3}
         order = [base]
         for u in order:
             order += [v for v in g.adj[u] if v not in order]
@@ -256,7 +256,7 @@ def _small_side_atoms(cd):
     sides = (g, transpose(g))
     for k in range(1, limit + 1):
         for side in sides:
-            found = atoms_bruteforce(side, kappa=kappa, cap=30, size=k)
+            found = atoms_bruteforce(side, kappa, k)
             if found:
                 return found
     return None
@@ -471,7 +471,7 @@ class TestStabiliserOrbits:
 class TestAtoms:
     def test_cycle_atoms_are_singletons(self):
         g = directed_cycle(6)
-        atoms = atoms_bruteforce(g, kappa=1)
+        atoms = helpers.atoms_oracle(g, 1)
         expected = helpers.atoms_fullscan_oracle(g, 1)
         assert set(atoms) == expected
         assert all(len(a) == 1 for a in atoms)
@@ -485,26 +485,37 @@ class TestAtoms:
             if g.is_complete():
                 continue
             kappa = helpers.vertex_connectivity_oracle(g)
-            atoms = atoms_bruteforce(g, kappa=kappa)
+            atoms = helpers.atoms_oracle(g, kappa)
             assert set(atoms) == helpers.atoms_fullscan_oracle(g, kappa)
             checked += 1
 
-    def test_complete_digraph_has_none(self):
-        with pytest.raises(CompleteDigraphError):
-            atoms_bruteforce(complete_digraph(4), kappa=3)
-
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            atoms_bruteforce(directed_cycle(25), kappa=1, cap=18)
-
-    def test_subset_budget_is_reported_as_a_cap(self):
+    def test_subset_budget_is_reported_as_a_cap(self, monkeypatch):
         # every vertex of the 6-cycle is an atom and an e-atom: the size-1
         # scan examines 6 subsets, so a budget of 6 suffices and 5 does not
         g = directed_cycle(6)
-        for routine in (atoms_bruteforce, e_atoms_bruteforce):
-            assert len(routine(g, 1, budget=6)) == 6
+        scans = (lambda: atoms_bruteforce(g, 1, 1), lambda: e_atoms_bruteforce(g, 1))
+        for scan in scans:
+            monkeypatch.setattr(digraph, "SUBSET_BUDGET", 6)
+            assert len(scan()) == 6
+            monkeypatch.setattr(digraph, "SUBSET_BUDGET", 5)
             with pytest.raises(CapExceeded, match=r"exceeded budget 5 at size 1$"):
-                routine(g, 1, budget=5)
+                scan()
+
+    def test_budget_refusal_examines_no_subset(self, monkeypatch):
+        # C(25, 3) = 2300 subsets of size 3 pass a budget of 2299, so the
+        # scan is refused before it forms a single one
+        monkeypatch.setattr(digraph, "SUBSET_BUDGET", 2299)
+        formed = []
+
+        def counted(items, k):
+            for combo in combinations(items, k):
+                formed.append(combo)
+                yield combo
+
+        monkeypatch.setattr(digraph, "combinations", counted)
+        with pytest.raises(CapExceeded, match=r"exceeded budget 2299 at size 3$"):
+            atoms_bruteforce(directed_cycle(25), 1, 3)
+        assert formed == []
 
     def test_size_scans_one_size(self):
         # the 6-cycle's atoms are singletons, but size 3 scans only its
@@ -545,7 +556,7 @@ class TestSimplecLemma:
             g = cd.graph
             n = g.vertex_count
             kappa, _ = vertex_connectivity_transitive(g, cd.base_vertex)
-            atoms = atoms_bruteforce(g, kappa=kappa, cap=30)
+            atoms = helpers.atoms_oracle(g, kappa)
             for _ in range(300):
                 size = rng.randrange(1, n)
                 b = frozenset(rng.sample(range(n), size))
@@ -591,7 +602,7 @@ class TestEAtoms:
             g = cd.graph
             n = g.vertex_count
             lam, _ = edge_connectivity(g, cd.base_vertex)
-            eatoms = e_atoms_bruteforce(g, lam=lam, cap=n)
+            eatoms = e_atoms_bruteforce(g, lam=lam)
             candidates = [frozenset([v]) for v in range(n)]
             candidates += [frozenset(range(n)) - {v} for v in range(n)]
             candidates += list(eatoms)

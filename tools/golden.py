@@ -8,9 +8,12 @@ to ``tests/golden``), its exit code and the sha256 of its stdout and of its
 stderr.  The commands are every ``check_ladder`` and ``random_sweep``
 operation of the benchmark for seeds 1 and 2, ``export`` in both formats of
 each analyzed spec, ``cp`` for every n <= 6 and for CP(7,4) and CP(7,2),
-a few input errors, and ``--timings`` runs (a block of the sweep, and ``cp``
+a few input errors, ``--timings`` runs (a block of the sweep, and ``cp``
 for n <= 5), whose lines hold the timing keys and hash stdout with each
-timing value left out.
+timing value left out, and the atom-stage commands: ``analyze`` on the
+24-vertex S_4 instance with ``settings.bruteforce_cap`` 24 (transpose atoms)
+and 0 (no atom stage), two failing ``check`` runs on it, and ``analyze`` on
+an instance whose smaller atoms lie on the transpose side.
 
 Every command runs in this one process through ``cosetkit.cli.main``, from
 this checkout's ``src``, with the working directory at ``tests/golden``.
@@ -45,6 +48,29 @@ ERRORS = (
     ["check", "no_such_theorem", "specs/check_ladder-1-0.json"],
     ["export", "specs/check_ladder-1-0.json", "--format", "svg"],
 )
+# G(S_4, {e}, {a, b, ba}) with a = (1 2), b = (1 2 3 4): 24 vertices, kappa 2
+S4_MIXED = {"degree": 4, "group_generators": ["(1 2)", "(1 2 3 4)"],
+            "connection_set": [{"label": "a", "perm": "(1 2)"},
+                               {"label": "b", "perm": "(1 2 3 4)"},
+                               {"label": "ba", "perm": "(2 3 4)"}]}
+ATOM_SPECS = {
+    "s4_mixed-cap24.json": {**S4_MIXED, "settings": {"bruteforce_cap": 24}},
+    "s4_mixed-cap0.json": {**S4_MIXED, "settings": {"bruteforce_cap": 0}},
+    # 12 vertices, kappa 4: the atoms of size 2 lie on the transpose side
+    "s4_transpose_atom.json": {
+        "degree": 4, "group_generators": ["(1 2)", "(1 2 3 4)"],
+        "subgroup_generators": ["(1 2)(3 4)"],
+        "connection_set": [{"label": "s0", "perm": "(3 4)"},
+                           {"label": "s1", "perm": "(1 3 4 2)"},
+                           {"label": "s2", "perm": "(1 3 4)"}]},
+}
+ATOM_COMMANDS = (
+    ["analyze", "specs/s4_mixed-cap24.json"],
+    ["analyze", "specs/s4_mixed-cap0.json"],
+    ["check", "decomposition", "specs/s4_mixed-cap24.json", "--partition", "a|b,ba"],
+    ["check", "hierarchical_gen", "specs/s4_mixed-cap24.json"],
+    ["analyze", "specs/s4_transpose_atom.json"],
+)
 
 
 def specs_and_commands() -> tuple[dict[str, dict], list[list[str]]]:
@@ -70,6 +96,8 @@ def specs_and_commands() -> tuple[dict[str, dict], list[list[str]]]:
     commands += exports + cps + [[*cp, "--emit-spec"] for cp in cps]
     commands += timed + [[*cp, "--timings"] for cp in cps if int(cp[2]) <= 5]
     commands += [list(e) for e in ERRORS]
+    specs.update(ATOM_SPECS)
+    commands += [list(c) for c in ATOM_COMMANDS]
     return specs, commands
 
 
