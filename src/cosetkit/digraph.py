@@ -3,8 +3,8 @@
 Strong connectivity, neighbor sets, exact vertex/edge connectivity of
 vertex-transitive digraphs by merged-source augmenting-path passes from one
 base vertex over the orbits of the given automorphisms fixing it (for κ, over
-a breadth-first prefix), with a minimum-cut certificate from a re-run
-max-flow, and brute-force atom / e-atom enumeration.
+a breadth-first prefix), with a minimum-cut certificate from the pass's
+first step or a re-run max-flow, and brute-force atom / e-atom enumeration.
 """
 
 from __future__ import annotations
@@ -28,19 +28,17 @@ class Digraph:
     __slots__ = ("adj", "_scc", "_transpose", "_checked")
 
     def __init__(self, adjacency: Sequence[Sequence[int]]):
-        n = len(adjacency)
-        adj = []
-        for u, row in enumerate(adjacency):
-            row = tuple(row)
-            if len(set(row)) != len(row):
+        adj = tuple(map(tuple, adjacency))
+        vertices = set(range(len(adj)))
+        for u, row in enumerate(adj):
+            nbrs = set(row)
+            if len(nbrs) != len(row):
                 raise ValueError(f"duplicate out-neighbors at vertex {u}")
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValueError(f"neighbor {v} out of range at vertex {u}")
-                if v == u:
-                    raise ValueError(f"self-loop at vertex {u}")
-            adj.append(row)
-        self.adj = tuple(adj)
+            if u in nbrs or not nbrs <= vertices:
+                v = next(v for v in row if v == u or v not in vertices)
+                raise ValueError(f"self-loop at vertex {u}" if v == u else
+                                 f"neighbor {v} out of range at vertex {u}")
+        self.adj = adj
         self._scc: tuple[tuple[int, ...], ...] | None = None
         self._transpose: Digraph | None = None
         self._checked: set[tuple] = set()
@@ -89,11 +87,12 @@ def transpose(g: Digraph) -> Digraph:
     """The edge-reversed digraph, rows ascending, built once per digraph;
     its transpose is ``g`` itself."""
     if g._transpose is None:
-        rows: list[list[int]] = [[] for _ in range(g.vertex_count)]
-        for u, v in g.edges():
-            rows[v].append(u)
-        g._transpose = Digraph(rows)
-        g._transpose._transpose = g
+        rows: list[list[int]] = [[] for _ in g.adj]
+        for u, row in enumerate(g.adj):
+            for v in row:
+                rows[v].append(u)
+        gt = g._transpose = Digraph.__new__(Digraph)    # reversed rows need no checks
+        gt.adj, gt._scc, gt._transpose, gt._checked = tuple(map(tuple, rows)), None, g, set()
     return g._transpose
 
 
@@ -106,16 +105,15 @@ def strongly_connected_components(g: Digraph) -> list[list[int]]:
     for root in range(n):
         if seen[root]:
             continue
-        stack: list[tuple[int, int]] = [(root, 0)]
+        stack = [(root, iter(g.adj[root]))]    # each frame resumes its row
         seen[root] = True
         while stack:
-            u, i = stack[-1]
-            if i < len(g.adj[u]):
-                stack[-1] = (u, i + 1)
-                v = g.adj[u][i]
+            u, row = stack[-1]
+            for v in row:
                 if not seen[v]:
                     seen[v] = True
-                    stack.append((v, 0))
+                    stack.append((v, iter(g.adj[v])))
+                    break
             else:
                 order.append(u)
                 stack.pop()
@@ -155,25 +153,14 @@ def neighbor_set(g: Digraph, vertices: Iterable[int]) -> tuple[frozenset[int], b
 
 class _UnitFlow:
     """Merged-source augmenting-path pass (with one sink, a plain bounded
-    max-flow) on small integer-capacity networks, reset from a snapshot."""
+    max-flow) on small integer-capacity networks, reset from a snapshot.
+    Arc e runs from the node whose ``head`` lists it to ``to[e]``; arc e ^ 1
+    is its reverse."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self._cap0: list[int] | None = None
-
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def freeze(self) -> None:
-        self._cap0 = list(self.cap)
+    def __init__(self, head: list[list[int]], to: list[int], cap: list[int]):
+        self.n, self.head, self.to, self.cap = len(head), head, to, cap
+        self._cap0 = list(cap)
+        self.first: tuple[int, set[int]] | None = None
 
     def reset(self) -> None:
         self.cap[:] = self._cap0
@@ -181,15 +168,17 @@ class _UnitFlow:
     def merged_pass(self, source: int, sinks: Iterable[int], bound: int) -> int:
         """Least over ``sinks`` of the max flow into each from ``source`` and
         the sinks before it, each stopped at the least so far (at first
-        ``bound``), in one flow never reset (Hao & Orlin).  After the one-arc
-        paths, each augmenting path comes from searches from both ends,
-        growing the smaller frontier by a layer.  Only the sink node then
-        joins the merged set: in-node 2t on a split network.  Exact in any
-        sink order: a step is a min cut between the merged set and its sink,
-        at least the one from ``source``; for a min cut (X, Y) from ``source``
-        to a minimising sink, the first sink in Y follows only sinks in X, so
-        its step is at most the cut.  A separator vertex v has 2v in X and
-        2v+1 in Y, so 2v+1 may not join."""
+        ``bound``), in one flow never reset (Hao & Orlin).  The first step, a
+        max-flow from ``source`` alone, leaves in ``first`` its value and the
+        source's residual-reachable set.  Each step first takes the paths of
+        at most three arcs from merged nodes; each further augmenting path
+        comes from searches from both ends, growing the smaller frontier by a
+        layer.  Only the sink node then joins the merged set: in-node 2t on a
+        split network.  Exact in any sink order: a step is a min cut between
+        the merged set and its sink, at least the one from ``source``; for a
+        min cut (X, Y) from ``source`` to a minimising sink, the first sink in
+        Y follows only sinks in X, so its step is at most the cut.  A
+        separator vertex v has 2v in X and 2v+1 in Y, so 2v+1 may not join."""
         to, cap, head = self.to, self.cap, self.head
         # searches walk e ^ 1 from the sink, e from the merged set; search
         # tree arcs (-1 at roots), last search at a node (joined if merged)
@@ -198,11 +187,23 @@ class _UnitFlow:
         fseen[source], fvia[source] = joined, -1
         for t in sinks:
             flow, via[t] = 0, -1
-            for e in head[t]:           # one-arc paths from merged nodes
-                while fseen[to[e]] == joined and cap[e ^ 1] > 0 and flow < best:
-                    cap[e ^ 1] -= 1
-                    cap[e] += 1
-                    flow += 1
+            for e in head[t]:           # paths x -> t, y -> x -> t, z -> y -> x -> t
+                x = to[e]
+                if fseen[x] == joined:
+                    while cap[e ^ 1] > 0 and flow < best:
+                        flow = _push(cap, (e ^ 1,), flow)
+                    continue
+                for f in head[x]:
+                    if not cap[e ^ 1] or flow == best:
+                        break
+                    if cap[f ^ 1]:
+                        if fseen[to[f]] == joined:
+                            flow = _push(cap, (f ^ 1, e ^ 1), flow)
+                            continue
+                        for g in head[to[f]]:
+                            if fseen[to[g]] == joined and cap[g ^ 1]:
+                                flow = _push(cap, (g ^ 1, f ^ 1, e ^ 1), flow)
+                                break
             while flow < best:
                 search += 1
                 seen[t], back, fore, meet = search, [t], members, -1
@@ -233,6 +234,8 @@ class _UnitFlow:
                         cap[e ^ 1] += 1
                         x = to[e ^ step]
                 flow += 1
+            if len(members) == 1:
+                self.first = flow, self.residual_reachable(source)
             best = min(best, flow)
             fseen[t], fvia[t] = joined, -1
             members.append(t)
@@ -249,24 +252,35 @@ class _UnitFlow:
         return seen
 
 
+def _push(cap: list[int], path: tuple[int, ...], flow: int) -> int:
+    """Push a unit along the residual arcs ``path``; ``flow`` plus one."""
+    for e in path:
+        cap[e] -= 1
+        cap[e ^ 1] += 1
+    return flow + 1
+
+
 def _vertex_split_network(g: Digraph) -> _UnitFlow:
-    # node 2v = v_in, 2v+1 = v_out; split arcs carry capacity 1
+    # node 2v = v_in, 2v+1 = v_out; arc 2v is v's split arc, of capacity 1
     n = g.vertex_count
-    net = _UnitFlow(2 * n)
-    for v in range(n):
-        net.add_edge(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges():
-        net.add_edge(2 * u + 1, 2 * v, n)
-    net.freeze()
-    return net
+    head, to = [[e] for e in range(2 * n)], [e ^ 1 for e in range(2 * n)]
+    into = head[0::2]                   # the in-nodes' arc lists
+    for u, row in enumerate(g.adj):
+        head[2 * u + 1] += range(len(to), len(to) + 2 * len(row), 2)
+        for v in row:
+            into[v].append(len(to) + 1)
+            to += 2 * v, 2 * u + 1
+    return _UnitFlow(head, to, [1, 0] * n + [n, 0] * (len(to) // 2 - n))
 
 
 def _edge_network(g: Digraph) -> _UnitFlow:
-    net = _UnitFlow(g.vertex_count)
-    for u, v in g.edges():
-        net.add_edge(u, v, 1)
-    net.freeze()
-    return net
+    head, to = [[] for _ in g.adj], []
+    for u, row in enumerate(g.adj):
+        for v in row:
+            head[u].append(len(to))
+            head[v].append(len(to) + 1)
+            to += v, u
+    return _UnitFlow(head, to, [1, 0] * (len(to) // 2))
 
 
 def _require_strongly_connected(g: Digraph) -> None:
@@ -310,20 +324,24 @@ def _sinks(g: Digraph, base: int, symmetries: Sequence[Sequence[int]], size: int
 
 def _certificate(net: _UnitFlow, source: int, sinks: Sequence[int], best: int,
                  bound: int) -> tuple[int, set[int]]:
-    """The first of ``sinks`` whose fresh max-flow from ``source``, stopped
-    at best + 1, equals ``best``, a merged pass's least value below ``bound``,
+    """The first of ``sinks`` whose max-flow from ``source``, stopped at
+    best + 1, equals ``best``, a merged pass's least value below ``bound``,
     with the source's residual-reachable set: the least source side of a
-    minimum cut.  Else, or on a flow below ``best``, CrossCheckError."""
+    minimum cut.  The pass's first step is that flow for the first sink; a
+    fresh one runs for each later sink.  Else, or on a flow below ``best``,
+    CrossCheckError."""
     if best >= bound:
         raise CrossCheckError(f"no sink has a flow below the bound {bound}")
-    for t in sinks:
-        net.reset()
-        flow = net.merged_pass(source, (t,), best + 1)
+    for i, t in enumerate(sinks):
+        if i:
+            net.reset()
+            net.merged_pass(source, (t,), best + 1)
+        flow, reach = net.first
         if flow < best:
             raise CrossCheckError(f"a re-run max-flow of {flow} lies below the "
                                   f"merged pass's minimum {best}: the pass missed a cut")
         if flow == best:
-            return t, net.residual_reachable(source)
+            return t, reach
     raise CrossCheckError("no re-run max-flow reaches the merged pass's minimum")
 
 

@@ -77,6 +77,15 @@ def s4_transpose_atom_spec() -> CosetDigraphSpec:
                                          ("s2", "(1 3 4)")]))
 
 
+def s4_late_sink_spec() -> CosetDigraphSpec:
+    """G = S_4, H = <(2 3)>, S = {(1 2), (1 3 2 4)}: 12 vertices, d = 4 and
+    kappa = 3, where the first flow-kappa sink in breadth-first order has
+    local connectivity 4, so a later sink certifies kappa."""
+    return CosetDigraphSpec(4, (parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4)),
+                            (parse_cycles("(2 3)", 4),),
+                            _labeled(4, [("a", "(1 2)"), ("b", "(1 3 2 4)")]))
+
+
 def z6_disconnected_spec() -> CosetDigraphSpec:
     """Deliberately disconnected: G is Z_6 but the only connection
     generator is the square of the 6-cycle, which generates an index-2

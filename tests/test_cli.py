@@ -221,19 +221,26 @@ class TestAnalyze:
 
     def test_one_reversed_digraph_per_analyze(self, tmp_path, capsys, monkeypatch):
         # Kosaraju, the subgroup scan and the atom theory all read the one
-        # cached transpose
-        built = []
+        # cached transpose, which transpose() builds without Digraph()
+        built, transposes = [], []
         original = digraph.Digraph.__init__
 
         def recorded(self, adjacency):
             original(self, adjacency)
             built.append(self)
         monkeypatch.setattr(digraph.Digraph, "__init__", recorded)
+        for module in (digraph, atoms, coset):
+            def counted(g, _original=module.transpose):
+                transposes.append(_original(g))
+                return transposes[-1]
+            monkeypatch.setattr(module, "transpose", counted)
         code, out, _ = run(capsys, "analyze", write_spec(tmp_path, S4_MIXED_SPEC))
         assert code == 0 and json.loads(out)["atoms"]["forward"] is not None
         reversed_edges = {(v, u) for u, v in built[0].edges()}
         assert reversed_edges != set(built[0].edges())
-        assert sum(set(g.edges()) == reversed_edges for g in built) == 1
+        assert not any(set(g.edges()) == reversed_edges for g in built)
+        assert len({id(g) for g in transposes if set(g.edges()) == reversed_edges}) == 1
+        assert len(transposes) >= 3
 
     @pytest.mark.parametrize("argv", [("analyze", "S4_MIXED"), ("analyze", "CP42"),
                                       ("cp", "--n", "5", "--k", "2")],

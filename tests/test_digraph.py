@@ -1,12 +1,13 @@
 """Digraph engine: connectivity oracles, cuts, brute-force atoms."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
 
 import helpers
-from corpus import CORPUS_NAMES, SMALL_NAMES, cp_instance, instance
+from corpus import CORPUS_NAMES, SMALL_NAMES, cp_instance, instance, s4_late_sink_spec
 from cosetkit import digraph
 from cosetkit import (CapExceeded, CosetDigraphSpec, CrossCheckError,
                       Digraph, NotStronglyConnected, atoms_bruteforce, build, compose,
@@ -44,12 +45,17 @@ def random_circulant(rng, n, extra_jumps):
 
 class TestBasics:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Digraph([[0]])          # loop
-        with pytest.raises(ValueError):
-            Digraph([[1, 1], [0]])  # duplicate
-        with pytest.raises(ValueError):
-            Digraph([[2], [0]])     # out of range
+        # the first bad entry of the first bad row is named, a duplicate
+        # before any entry
+        for rows, message in (([[0]], "self-loop at vertex 0"),
+                              ([[1, 1], [0]], "duplicate out-neighbors at vertex 0"),
+                              ([[2], [0]], "neighbor 2 out of range at vertex 0"),
+                              ([[1], [-1]], "neighbor -1 out of range at vertex 1"),
+                              ([[1], [2], [0, 2, 3]], "self-loop at vertex 2"),
+                              ([[1], [2], [0, 3, 2]], "neighbor 3 out of range at vertex 2"),
+                              ([[1], [2, 2, 9], [0]], "duplicate out-neighbors at vertex 1")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Digraph(rows)
 
     def test_transpose_involution(self):
         rng = random.Random(3)
@@ -89,6 +95,25 @@ class TestStrongConnectivity:
 
     def test_single_vertex(self):
         assert is_strongly_connected(Digraph([[]]))
+
+    def test_first_pass_reads_each_arc_once(self):
+        # each stack frame resumes its row, so Kosaraju's first pass reads
+        # every arc once; the second reads the transpose, built beforehand
+        reads = []
+
+        class Row(tuple):
+            def __iter__(self):
+                for v in tuple.__iter__(self):
+                    reads.append(v)
+                    yield v
+
+        rng = random.Random(9)
+        for g in (Digraph([[1, 2, 3], [0], [0], [0]]), random_strongly_connected(rng, 12, 30)):
+            transpose(g)
+            rows, g.adj = g.adj, tuple(map(Row, g.adj))
+            reads.clear()
+            assert strongly_connected_components(g) == [list(range(g.vertex_count))]
+            assert sorted(reads) == sorted(v for row in rows for v in row)
 
     def test_against_reachability_oracle(self):
         rng = random.Random(5)
@@ -192,8 +217,10 @@ class TestVertexConnectivity:
         assert (kappa, cert.separator, cert.separated_pair) == (1, (2,), (0, 1))
         # merging all of vertex 2 puts its out-node 5 in the source set, as
         # an unbounded arc from the source does; sink 1 then yields 2
-        whole = _vertex_split_network(g)
-        whole.add_edge(1, 5, 5)
+        split = _vertex_split_network(g)
+        split.head[1].append(len(split.to))
+        split.head[5].append(len(split.to) + 1)
+        whole = _UnitFlow(split.head, split.to + [5, 1], split.cap + [5, 0])
         assert whole.merged_pass(1, [4, 2], 5) == 2
 
     def test_prefix_reaches_past_an_atom_outside_the_neighborhood(self):
@@ -312,18 +339,36 @@ class TestEdgeConnectivity:
             assert kappa <= lam <= min(len(row) for row in g.adj)
 
     def test_one_flow_per_sink_plus_certificate(self, monkeypatch):
-        # from one base vertex: one merged pass over the n - 1 other vertices
-        # and one single-sink certificate flow, where a fresh flow per sink
-        # took n
+        # from one base vertex: one merged pass over the n - 1 other vertices,
+        # where a fresh flow per sink took n; with lambda = d every sink is
+        # minimising, so the pass's first step certifies the first sink and
+        # no flow is re-run
         passes = _record_merged_passes(monkeypatch)
         for name in ("s4_mixed", "cp_4_2", "q8"):
             cd = instance(name)
             n, base = cd.graph.vertex_count, cd.base_vertex
             assert not cd.graph.is_complete()
             passes.clear()
-            lam, _ = edge_connectivity(cd.graph, base)
+            lam, cert = edge_connectivity(cd.graph, base)
             assert lam == cd.degree, name
-            assert [(s, len(t)) for s, t in passes] == [(base, n - 1), (base, 1)], name
+            assert [(s, len(t)) for s, t in passes] == [(base, n - 1)], name
+            assert cert.separated_pair == (base, passes[0][1][0]), name
+
+    def test_certificate_reruns_from_the_second_sink(self, monkeypatch):
+        # the first kappa sink is not minimising: the certificate's fresh
+        # flows start at the second sink and end at the per-sink oracle's
+        # sink, with its separator
+        cd = build(s4_late_sink_spec())
+        g, base, n = cd.graph, cd.base_vertex, cd.graph.vertex_count
+        passes = _record_merged_passes(monkeypatch)
+        kappa, cert = vertex_connectivity_transitive(g, base, stabiliser_translations(cd))
+        (source, sinks), reruns = passes[0], passes[1:]
+        assert kappa == 3 and reruns and reruns == [(source, [t]) for t in sinks[1:len(passes)]]
+        value, sink, reach = helpers.least_cut_per_sink_oracle(
+            _vertex_split_network(g), source, sinks, n - 1)
+        separator = tuple(v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach)
+        assert sink == reruns[-1][1][0] != sinks[0]
+        assert (value, cert.separated_pair, cert.separator) == (kappa, (base, sink // 2), separator)
 
 
 def _h_orbit_minima(cd):
@@ -382,9 +427,11 @@ class TestStabiliserOrbits:
     def test_one_flow_per_orbit_plus_certificate(self, monkeypatch):
         # kappa: one merged pass from the base into the in-nodes of the first
         # vertex of each H-orbit among the non-neighbors in the first 2d + 1
-        # breadth-first positions, and single-sink certificate flows from the
-        # base to a prefix of those sinks; lambda: one pass over every orbit
-        # and one flow.  Past Kosaraju's, neither walks a transpose.
+        # breadth-first positions, then single-sink certificate flows from the
+        # base to the sinks after the first, up to the certificate's sink
+        # (none if the pass's first step is minimising); lambda: one pass over
+        # every orbit, whose first sink is minimising.  Past Kosaraju's,
+        # neither walks a transpose.
         names = ("cp_4_2", "cp_5_2", "random_0")
         for name in names:
             instance(name).graph.strong_components()
@@ -408,15 +455,16 @@ class TestStabiliserOrbits:
             assert cert.separated_pair[0] == base, name
             flows = [(2 * base + 1, [2 * t]) for t in sinks]
             certificate = passes[1:]
-            assert 1 <= len(certificate) and certificate == flows[:len(certificate)], name
+            assert certificate == flows[1:len(certificate) + 1], name
+            assert cert.separated_pair[1] == sinks[len(certificate)], name
             far = [t for t in minima if t != base and t not in g.adj[base]]
             assert len(sinks) < len(far), name
 
             passes.clear()
-            edge_connectivity(g, base, symmetries)
+            _, cert = edge_connectivity(g, base, symmetries)
             # every orbit but {base}
-            assert [(s, len(t)) for s, t in passes] == \
-                [(base, len(minima) - 1), (base, 1)], name
+            assert [(s, len(t)) for s, t in passes] == [(base, len(minima) - 1)], name
+            assert cert.separated_pair == (base, passes[0][1][0]), name
 
     def test_kappa_walks_one_prefix_of_orbits(self, monkeypatch):
         # the sink walk stops at 2d + 1 places, with one orbit per sink,

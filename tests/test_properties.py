@@ -38,7 +38,10 @@ Separately, on random digraphs with 3 to 10 vertices (mostly neither
 vertex-transitive nor strongly connected), the merged-source flow pass from
 a fixed source must equal the per-sink flow sweep and Edmonds-Karp, and the
 pass with a single sink must be Edmonds-Karp's max-flow stopped at its
-bound, with a cut of that capacity below it.
+bound, with a cut of that capacity below it.  On these digraphs, on the
+coset specs and on the thin-cut specs, flow κ and λ must give the value,
+separated pair and separator of a fresh max-flow per sink over the same
+sinks.
 """
 
 import contextlib
@@ -56,8 +59,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import helpers  # noqa: E402
-from cosetkit import (CosetDigraphSpec, Digraph, NotStronglyConnected,  # noqa: E402
-                      Permutation, build, cli, compose, edge_connectivity,
+from cosetkit import (CosetDigraphSpec, CrossCheckError, CutCertificate,  # noqa: E402
+                      Digraph, NotStronglyConnected, Permutation, build, cli,
+                      compose, edge_connectivity, is_strongly_connected,
                       enumerate_closure, generation_connectivity, inverse,
                       kappa_group_theoretic, oracle_kappa, parse_cycles, print_cycles,
                       stabiliser_translations, sub_instance, subgroup_generated,
@@ -554,3 +558,46 @@ def test_single_sink_pass_is_a_bounded_max_flow(g, data):
             reach = net.residual_reachable(s)
             assert t not in reach
             assert sum(c for u, v, c in arcs if u in reach and v not in reach) == value
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.one_of(digraphs(), coset_specs(), thin_cut_specs()), st.data())
+def test_certificates_equal_the_per_sink_oracle(drawn, data):
+    # the least value, its first sink in sweep order and the least source
+    # side of a minimum cut, whether the merged pass's first step or a
+    # re-run flow certifies it; kappa with no sink in the prefix, on a
+    # digraph that is not vertex-transitive, has no certificate.  Half the
+    # drawn digraphs gain the cycle 0 -> 1 -> ... -> 0, so that most of them
+    # are strongly connected.
+    if isinstance(drawn, Digraph):
+        n = drawn.vertex_count
+        cycle = data.draw(st.booleans())
+        g = Digraph([sorted({*row, (u + 1) % n} if cycle else row)
+                     for u, row in enumerate(drawn.adj)])
+        symmetries, base = (), data.draw(st.integers(0, n - 1))
+    else:
+        cd = build(drawn)
+        g, base = cd.graph, cd.base_vertex
+        symmetries = stabiliser_translations(cd) if data.draw(st.booleans()) else ()
+    if not is_strongly_connected(g):
+        for routine in (vertex_connectivity_transitive, edge_connectivity):
+            with pytest.raises(NotStronglyConnected):
+                routine(g, base, symmetries)
+        return
+    n, nbrs = g.vertex_count, g.adj[base]
+    sinks = [2 * t for t in _sinks(g, base, symmetries, 2 * len(nbrs) + 1, nbrs)]
+    if g.is_complete():
+        assert vertex_connectivity_transitive(g, base, symmetries) == (n - 1, None)
+    elif not sinks:
+        with pytest.raises(CrossCheckError, match="no sink has a flow below"):
+            vertex_connectivity_transitive(g, base, symmetries)
+    else:
+        value, sink, reach = helpers.least_cut_per_sink_oracle(
+            _vertex_split_network(g), 2 * base + 1, sinks, n - 1)
+        separator = tuple(v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach)
+        assert vertex_connectivity_transitive(g, base, symmetries) == \
+            (value, CutCertificate(separator, (base, sink // 2)))
+    value, sink, reach = helpers.least_cut_per_sink_oracle(
+        _edge_network(g), base, _sinks(g, base, symmetries, n), len(nbrs) + 1)
+    cut = tuple((u, v) for u, v in g.edges() if u in reach and v not in reach)
+    assert edge_connectivity(g, base, symmetries) == (value, CutCertificate(cut, (base, sink)))

@@ -2,8 +2,9 @@
 
 A fixed set of small commands runs in a fresh process under
 ``sys.setprofile``: ``analyze`` on a connected instance with a nontrivial
-H and on a disconnected one, every theorem checker, ``export`` in both
-formats, ``cp`` with and without ``--emit-spec``, and one usage error.
+H, on one whose first flow-κ sink is not minimising and on a disconnected
+one, every theorem checker, ``export`` in both formats, ``cp`` with and
+without ``--emit-spec``, and one usage error.
 Every module-level function of ``cosetkit`` that none of them calls must be
 one that the benchmark tracer names, read from ``bench/tracer.py`` as in
 ``test_traced_names.py``.  Every method and property defined in the body of
@@ -43,10 +44,17 @@ D5 = {"degree": 5, "group_generators": ["(1 2 3 4 5)", "(2 5)(3 4)"],
                          {"label": "f", "perm": "(2 5)(3 4)"},
                          {"label": "r^-1", "perm": "(1 5 4 3 2)"}]}
 
+# the first flow-kappa sink is not minimising, so the certificate re-runs flows
+LATE_SINK = {"degree": 4, "group_generators": ["(1 2)", "(1 2 3 4)"],
+             "subgroup_generators": ["(2 3)"],
+             "connection_set": [{"label": "a", "perm": "(1 2)"},
+                                {"label": "b", "perm": "(1 3 2 4)"}]}
+
 # (argv with a spec name in place of its path, expected exit code)
 COMMANDS = [
     (["analyze", "S4_EXPLICIT"], 0),
     (["analyze", "DISCONNECTED"], 0),
+    (["analyze", "LATE_SINK"], 0),
     (["check", "decomposition", "CP52", "--partition", "γ(2),γ(3)|γ(4)"], 0),
     (["check", "corollary1", "CP52", "--partition", "γ(2)|γ(3)|γ(4)"], 0),
     (["check", "corollary1_1", "CP52", "--partition", "γ(2)|γ(3)|γ(4)"], 0),
@@ -107,7 +115,8 @@ def reached(tmp_path_factory) -> dict:
     unreached and the class members they leave uncalled."""
     tmp_path = tmp_path_factory.mktemp("specs")
     specs = {"CP42": CP42, "CP52": CP52, "S4_EXPLICIT": S4_EXPLICIT,
-             "DISCONNECTED": DISCONNECTED, "S4_CAYLEY": S4_CAYLEY, "D5": D5}
+             "DISCONNECTED": DISCONNECTED, "S4_CAYLEY": S4_CAYLEY, "D5": D5,
+             "LATE_SINK": LATE_SINK}
     for name, doc in specs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
     argvs = [[str(tmp_path / f"{a}.json") if a in specs else a for a in argv]
