@@ -106,18 +106,18 @@ class CosetDigraph:
                 f"|V|={len(self.vertices)} d={self.degree}>")
 
 
-def dedupe_generators(H: SubgroupHandle, perms) -> list[Permutation]:
-    """One representative per double coset HsH, first occurrence wins: s
+def dedupe_generators(H: SubgroupHandle, pairs) -> list[tuple[str, Permutation]]:
+    """One (label, s) pair per double coset HsH, first occurrence wins: s
     lies in an earlier HtH exactly when its coset sH is one of HtH's."""
-    survivors: list[Permutation] = []
+    survivors: list[tuple[str, Permutation]] = []
     cosets: list[set[int]] = []
-    for s in perms:
+    for lbl, s in pairs:
         if s in H:
             raise GroupError(f"connection permutation {s} lies in H")
         coset = H.cosets().coset_of[H.parent.id_of(s)]
         if any(coset in dc for dc in cosets):
             continue
-        survivors.append(s)
+        survivors.append((lbl, s))
         cosets.append(double_coset_cosets(H, s))
     return survivors
 
@@ -146,13 +146,7 @@ def _build_on(spec: CosetDigraphSpec, group: GroupContext,
         if p not in group:
             raise GroupError(f"connection permutation {lbl!r} = {p} is not in G")
 
-    surviving = dedupe_generators(subgroup, [p for _, p in spec.connection_set])
-    surviving_set = set(surviving)
-    connection: dict[str, Permutation] = {}
-    for lbl, p in spec.connection_set:
-        if p in surviving_set and p not in connection.values():
-            connection[lbl] = p
-
+    connection = dict(dedupe_generators(subgroup, spec.connection_set))
     degrees = {lbl: double_coset_index(subgroup, p) for lbl, p in connection.items()}
 
     adjacency: list[set[int]] = [set() for _ in subgroup.cosets().members]

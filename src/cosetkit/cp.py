@@ -63,17 +63,21 @@ def cp_degree_profile(p: CPParams, cd: CosetDigraph) -> None:
         raise CrossCheckError("degree profile does not sum to n-1")
 
 
-def verify_neighbor_multiplier(p: CPParams, F: SubgroupHandle, cd: CosetDigraph) -> bool:
+def verify_neighbor_multiplier(p: CPParams, F: SubgroupHandle, cd: CosetDigraph) -> None:
     """For H <= F <= G' = <H, gamma(2)..gamma(n-k)>: the neighbors of F/H
-    due to gamma(n-k+1) number exactly |F/H| * k, verified by enumeration."""
+    due to gamma(n-k+1) number exactly |F/H| * k, verified by enumeration;
+    CrossCheckError when they do not."""
     h = cd.subgroup
     gprime = cd.closure(gamma_label(j) for j in range(2, p.n - p.k + 1))
     if F.parent is not cd.group or not h.id_set <= F.id_set <= gprime.id_set:
         raise GroupError("F must satisfy H <= F <= G'")
-    right_top = cd.group.right(gamma(p.n - p.k + 1, p.n))
+    top, index = p.n - p.k + 1, len(F) // len(h)
+    right_top = cd.group.right(gamma(top, p.n))
     coset_of = h.cosets().coset_of
-    reached = {coset_of[right_top[f]] for f in F.ids}
-    return len(reached) == (len(F) // len(h)) * p.k
+    reached = len({coset_of[right_top[f]] for f in F.ids})
+    if reached != index * p.k:
+        raise CrossCheckError(f"F with |F/H| = {index} has {reached} neighbors through "
+                              f"gamma({top}), not |F/H| * k = {index * p.k}")
 
 
 def verify_prefix_structure(p: CPParams, cd: CosetDigraph) -> None:
@@ -106,10 +110,8 @@ def verify_cp_argument(p: CPParams, cd: CosetDigraph) -> None:
     degree profile, multiplier for F = H and F = G', prefix structure."""
     cp_degree_profile(p, cd)
     gprime = cd.closure(gamma_label(j) for j in range(2, p.n - p.k + 1))
-    for name, f in (("H", cd.subgroup), ("G'", gprime)):
-        if not verify_neighbor_multiplier(p, f, cd):
-            raise CrossCheckError(f"F = {name} does not have |F/H| * k neighbors "
-                                  f"through gamma({p.n - p.k + 1})")
+    for f in (cd.subgroup, gprime):
+        verify_neighbor_multiplier(p, f, cd)
     if 1 < p.k < p.n - 1:
         verify_prefix_structure(p, cd)
 

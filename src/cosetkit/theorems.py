@@ -1,9 +1,11 @@
 """Mechanical hypothesis checkers for the connectivity theorems.
 
 Every checker evaluates the stated hypotheses in order, with a concrete
-witness for each failure, and then verifies the stated conclusion against
-the flow oracle instead of trusting it: a conclusion that fails while the
-hypotheses hold is an inconsistency, never silently accepted.
+witness for each failure (a hypothesis holds exactly when it has none), and
+then verifies the stated conclusion against the flow oracle instead of
+trusting it: a conclusion that fails while the hypotheses hold is an
+inconsistency, never silently accepted.  The chain checkers read one walk
+up the tower of partial subgroups G_i = <H, S_1 u ... u S_i>.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ def _require_connected(cd: CosetDigraph) -> None:
         raise GroupError("instance is disconnected")
 
 
+def _require_cayley(cd: CosetDigraph) -> None:
+    if len(cd.subgroup) != 1:
+        raise GroupError("not a Cayley digraph: H is nontrivial")
+
+
 def _require_partition(cd: CosetDigraph, blocks) -> None:
     flat = [lbl for block in blocks for lbl in block]
     if sorted(flat) != sorted(cd.labels):
@@ -67,21 +74,43 @@ def _require_partition(cd: CosetDigraph, blocks) -> None:
                          f"{cd.labels}")
 
 
-def _chain(cd: CosetDigraph, blocks) -> list[SubgroupHandle]:
-    """The partial subgroups G_i = <H, S_1 u ... u S_i>, one per block."""
+def _holds(description: str, witness: str | None) -> Hypothesis:
+    """A hypothesis that holds exactly when it has no failure witness."""
+    return Hypothesis(description, witness is None, witness)
+
+
+def _tower(cd: CosetDigraph, blocks) -> tuple[list[SubgroupHandle], list[int], int | None]:
+    """The partial subgroups G_i = <H, S_1 u ... u S_i>, the cumulative
+    degrees d_i = d_S_1 + ... + d_S_i, and the first index i with chain[i] =
+    chain[i + 1] (the chain is nested, so equal orders mean equal
+    subgroups), or None when the chain strictly grows."""
     used: list[str] = []
-    chain = []
+    chain, d_cum = [], []
     for block in blocks:
         used.extend(block)
         chain.append(cd.closure(used))
-    return chain
+        d_cum.append(sum(cd.degrees[lbl] for lbl in used))
+    repeat = next((i for i in range(len(chain) - 1)
+                   if len(chain[i]) == len(chain[i + 1])), None)
+    return chain, d_cum, repeat
 
 
-def _first_repeat(chain) -> int | None:
-    """First i with G_i = G_i+1 (the chain is nested, so equal orders
-    mean equal subgroups), or None when the chain strictly grows."""
-    return next((i for i in range(len(chain) - 1)
-                 if len(chain[i]) == len(chain[i + 1])), None)
+def _low_index(cd: CosetDigraph, chain, d_cum, steps: int) -> str | None:
+    """Witness for the first i < ``steps`` with |G_i/H| < d_i+1; None when
+    each of them covers (vacuous on a one-step chain)."""
+    h_order = len(cd.subgroup)
+    indices = (len(g) // h_order for g in chain[:steps])
+    return next((f"|G_{i + 1}/H| = {index} < d_{i + 2} = {d_next}"
+                 for i, (index, d_next) in enumerate(zip(indices, d_cum[1:]))
+                 if index < d_next), None)
+
+
+def _steep_step(d_cum, names) -> str | None:
+    """Witness for the first i with d_S_i+1 > d_i, where step i+1 adds the
+    degree d_cum[i+1] - d_cum[i] and is written d_``names[i+1]``."""
+    return next((f"d_{names[i + 1]} = {d_next - d} > d_{i + 1} = {d}"
+                 for i, (d, d_next) in enumerate(zip(d_cum, d_cum[1:]))
+                 if d_next - d > d), None)
 
 
 def _double_coset_clash(cd: CosetDigraph, gp: SubgroupHandle, labels,
@@ -94,14 +123,6 @@ def _double_coset_clash(cd: CosetDigraph, gp: SubgroupHandle, labels,
                 cd.closure([a]) != cd.closure([b]):
             return f"{name}{a}{name} = {name}{b}{name} but <H,{a}> != <H,{b}>"
     return None
-
-
-def _index_covers_d2(cd: CosetDigraph, chain, d_cum) -> Hypothesis:
-    """|G_1/H| >= d_2, vacuous below two steps; the index is the witness."""
-    index = len(chain[0]) // len(cd.subgroup) if len(chain) > 1 else None
-    ok = index is None or index >= d_cum[1]
-    return Hypothesis("|G_1/H| >= d_2", ok,
-                      None if ok else f"|G_1/H| = {index} < d_2 = {d_cum[1]}")
 
 
 def _conclude(theorem_id: str, cd: CosetDigraph, hyps, bound: int) -> HypothesisReport:
@@ -122,16 +143,12 @@ def check_decomposition(cd: CosetDigraph, r1, r2) -> HypothesisReport:
     _require_partition(cd, (r1, r2))
     _require_connected(cd)
     gp = cd.closure(r1)
+    hyps = (_holds("G' = <H, R1> contains no member of R2",
+                   next((f"{lbl} lies in G'" for lbl in r2 if cd.connection[lbl] in gp), None)),
+            _holds("same G'-double-coset members of R2 generate equal <H, r>",
+                   _double_coset_clash(cd, gp, r2, "G'")))
 
-    offenders = [lbl for lbl in r2 if cd.connection[lbl] in gp]
-    hyp1 = Hypothesis("G' = <H, R1> contains no member of R2", not offenders,
-                      f"{offenders[0]} lies in G'" if offenders else None)
-
-    witness = _double_coset_clash(cd, gp, r2, "G'")
-    hyp2 = Hypothesis("same G'-double-coset members of R2 generate equal <H, r>",
-                      witness is None, witness)
-
-    applicable = hyp1.holds and hyp2.holds
+    applicable = all(h.holds for h in hyps)
     computed = oracle_kappa(cd)
     bound = None
     if applicable:
@@ -140,8 +157,7 @@ def check_decomposition(cd: CosetDigraph, r1, r2) -> HypothesisReport:
         d_r2 = sum(cd.degrees[lbl] for lbl in r2)
         bound = min(sub.vertex_count, kappa_sub + d_r2)
     consistent = (computed >= bound) if applicable else True
-    return HypothesisReport("decomposition", (hyp1, hyp2), applicable,
-                            bound, computed, consistent)
+    return HypothesisReport("decomposition", hyps, applicable, bound, computed, consistent)
 
 
 def check_tower(cd: CosetDigraph, blocks, variant: str = "corollary1") -> HypothesisReport:
@@ -153,45 +169,27 @@ def check_tower(cd: CosetDigraph, blocks, variant: str = "corollary1") -> Hypoth
     blocks = [tuple(b) for b in blocks]
     _require_partition(cd, blocks)
     _require_connected(cd)
-    k = len(blocks)
-    h_order = len(cd.subgroup)
-
-    chain = _chain(cd, blocks)
-    d_block = [sum(cd.degrees[lbl] for lbl in block) for block in blocks]
-    d_cum = [sum(d_block[:i + 1]) for i in range(k)]
-
-    hyps = []
-    repeat = _first_repeat(chain)
-    hyps.append(Hypothesis("the subgroups G_i are distinct", repeat is None,
-                           None if repeat is None else
-                           f"G_{repeat + 1} = G_{repeat + 2}"))
+    chain, d_cum, repeat = _tower(cd, blocks)
 
     clashes = (_double_coset_clash(cd, chain[i - 1], blocks[i], f"G_{i}")
-               for i in range(1, k))
-    witness = next(filter(None, clashes), None)
-    hyps.append(Hypothesis("same-double-coset members of S_i+1 generate equal <H, r>",
-                           witness is None, witness))
+               for i in range(1, len(blocks)))
+    hyps = [_holds("the subgroups G_i are distinct",
+                   None if repeat is None else f"G_{repeat + 1} = G_{repeat + 2}"),
+            _holds("same-double-coset members of S_i+1 generate equal <H, r>",
+                   next(filter(None, clashes), None))]
 
     base, moves = sub_instance(cd, blocks[0])
     kappa_base, _ = vertex_connectivity_transitive(base, 0, moves)
-    hyps.append(Hypothesis("kappa(G(G_1, H, S_1)) = d_1", kappa_base == d_cum[0],
-                           None if kappa_base == d_cum[0] else
-                           f"kappa = {kappa_base}, d_1 = {d_cum[0]}"))
+    hyps.append(_holds("kappa(G(G_1, H, S_1)) = d_1", None if kappa_base == d_cum[0]
+                       else f"kappa = {kappa_base}, d_1 = {d_cum[0]}"))
 
     if variant == "corollary1":
-        bad = next((i for i in range(k - 1)
-                    if len(chain[i]) // h_order < d_cum[i + 1]), None)
-        hyps.append(Hypothesis("|G_i/H| >= d_i+1 for every i", bad is None,
-                               None if bad is None else
-                               f"|G_{bad + 1}/H| = {len(chain[bad]) // h_order} "
-                               f"< d_{bad + 2} = {d_cum[bad + 1]}"))
+        hyps.append(_holds("|G_i/H| >= d_i+1 for every i",
+                           _low_index(cd, chain, d_cum, len(chain))))
     else:
-        hyps.append(_index_covers_d2(cd, chain, d_cum))
-        bad = next((i for i in range(k - 1) if d_block[i + 1] > d_cum[i]), None)
-        hyps.append(Hypothesis("d_S_i+1 <= d_i for every i", bad is None,
-                               None if bad is None else
-                               f"d_S_{bad + 2} = {d_block[bad + 1]} > d_{bad + 1} "
-                               f"= {d_cum[bad]}"))
+        hyps.append(_holds("|G_1/H| >= d_2", _low_index(cd, chain, d_cum, 1)))
+        hyps.append(_holds("d_S_i+1 <= d_i for every i",
+                           _steep_step(d_cum, [f"S_{i + 1}" for i in range(len(blocks))])))
 
     return _conclude(variant, cd, hyps, cd.degree)
 
@@ -234,46 +232,33 @@ def check_hierarchical_gen(cd: CosetDigraph, ordering=None,
     no ``ordering``, the first hierarchical one is searched for."""
     if variant not in ("hierarchical_gen", "hier1"):
         raise GroupError(f"unknown variant {variant!r}")
+    if ordering is not None:
+        ordering = tuple(ordering)
+        if sorted(ordering) != sorted(cd.labels):
+            raise GroupError(f"{ordering} is not an ordering of {cd.labels}")
+    _require_connected(cd)
     if ordering is None:
-        _require_connected(cd)
         ordering = hierarchical_order_search(cd)
         if ordering is None:
             return _conclude(variant, cd, (_ordering_exists(None),), cd.degree)
-    ordering = tuple(ordering)
-    if sorted(ordering) != sorted(cd.labels):
-        raise GroupError(f"{ordering} is not an ordering of {cd.labels}")
-    _require_connected(cd)
-    k = len(ordering)
+    chain, d_cum, repeat = _tower(cd, [(lbl,) for lbl in ordering])
 
-    chain = _chain(cd, [(lbl,) for lbl in ordering])
-    d_cum = [sum(cd.degrees[lbl] for lbl in ordering[:i + 1]) for i in range(k)]
-
-    hyps = []
-    repeat = _first_repeat(chain)
-    hyps.append(Hypothesis("the ordering is hierarchical (subgroups all distinct)",
-                           repeat is None,
-                           None if repeat is None else
-                           f"<H,{','.join(ordering[:repeat + 1])}> = "
-                           f"<H,{','.join(ordering[:repeat + 2])}>"))
-
-    bad = next((i for i in range(k - 1)
-                if cd.degrees[ordering[i + 1]] > d_cum[i]), None)
-    hyps.append(Hypothesis("d_s_i+1 <= d_i for every i", bad is None,
-                           None if bad is None else
-                           f"d_{ordering[bad + 1]} = {cd.degrees[ordering[bad + 1]]} "
-                           f"> d_{bad + 1} = {d_cum[bad]}"))
+    hyps = [_holds("the ordering is hierarchical (subgroups all distinct)",
+                   None if repeat is None else
+                   f"<H,{','.join(ordering[:repeat + 1])}> = "
+                   f"<H,{','.join(ordering[:repeat + 2])}>"),
+            _holds("d_s_i+1 <= d_i for every i", _steep_step(d_cum, ordering))]
 
     if variant == "hierarchical_gen":
-        hyps.append(_index_covers_d2(cd, chain, d_cum))
+        hyps.append(_holds("|G_1/H| >= d_2", _low_index(cd, chain, d_cum, 1)))
     else:
         if not ordering:
             raise GroupError("hier1 needs a generator s_1: the connection set is empty")
         s1 = cd.connection[ordering[0]]
-        distinct = (double_coset_cosets(cd.subgroup, s1)
-                    != double_coset_cosets(cd.subgroup, inverse(s1)))
-        hyps.append(Hypothesis("Hs_1^-1 H != Hs_1 H", distinct,
-                               None if distinct else
-                               f"Hs_1H = Hs_1^-1H for s_1 = {ordering[0]}"))
+        same = (double_coset_cosets(cd.subgroup, s1)
+                == double_coset_cosets(cd.subgroup, inverse(s1)))
+        hyps.append(_holds("Hs_1^-1 H != Hs_1 H",
+                           f"Hs_1H = Hs_1^-1H for s_1 = {ordering[0]}" if same else None))
 
     return _conclude(variant, cd, hyps, cd.degree)
 
@@ -281,11 +266,10 @@ def check_hierarchical_gen(cd: CosetDigraph, ordering=None,
 def verify_hierarchical_cayley(cd: CosetDigraph) -> HypothesisReport:
     """Hierarchical Cayley digraphs (trivial H) are optimally connected:
     kappa = |S|."""
-    if len(cd.subgroup) != 1:
-        raise GroupError("not a Cayley digraph: H is nontrivial")
+    _require_cayley(cd)
     _require_connected(cd)
     ordering = hierarchical_order_search(cd)
-    hyps = (Hypothesis("H is trivial", True), _ordering_exists(ordering))
+    hyps = (_holds("H is trivial", None), _ordering_exists(ordering))
     return _conclude("hierarchical_cayley", cd, hyps, len(cd.labels))
 
 
@@ -293,8 +277,7 @@ def check_hierarchical_gen_c(cd: CosetDigraph, s_labels, sprime_labels) -> Hypot
     """Cayley digraph on S and some inverses S' of order >= 3: if S is
     hierarchical in the given order and |<s_1, s_2>| != 4, then
     kappa = |S u S'|."""
-    if len(cd.subgroup) != 1:
-        raise GroupError("not a Cayley digraph: H is nontrivial")
+    _require_cayley(cd)
     s_labels, sprime_labels = tuple(s_labels), tuple(sprime_labels)
     if set(s_labels) & set(sprime_labels):
         raise GroupError("S and S' overlap")
@@ -304,28 +287,19 @@ def check_hierarchical_gen_c(cd: CosetDigraph, s_labels, sprime_labels) -> Hypot
         raise GroupError("S is empty")
 
     s_images = {cd.connection[lbl].image for lbl in s_labels}
-    hyps = []
-
-    stray = [lbl for lbl in sprime_labels
-             if inverse(cd.connection[lbl]).image not in s_images]
-    hyps.append(Hypothesis("S' is a subset of S^-1", not stray,
-                           f"{stray[0]} is not the inverse of any member of S"
-                           if stray else None))
-
-    low = [lbl for lbl in sprime_labels if cd.connection[lbl].order() < 3]
-    hyps.append(Hypothesis("every member of S' has order at least 3", not low,
-                           f"{low[0]} has order {cd.connection[low[0]].order()}"
-                           if low else None))
-
-    chain = _chain(cd, [(lbl,) for lbl in s_labels])
-    witness = ("<S> != G" if len(chain[-1]) != len(cd.group) else
-               "a subgroup repeats" if _first_repeat(chain) is not None else None)
-    hyps.append(Hypothesis("G(G, {e}, S) is hierarchical in the given order",
-                           witness is None, witness))
-
-    pair = cd.closure(s_labels[:2])
-    hyps.append(Hypothesis("|<s_1, s_2>| != 4", len(pair) != 4,
-                           None if len(pair) != 4 else f"|<s_1,s_2>| = 4"))
+    orders = {lbl: cd.connection[lbl].order() for lbl in sprime_labels}
+    chain, _, repeat = _tower(cd, [(lbl,) for lbl in s_labels])
+    hyps = (_holds("S' is a subset of S^-1",
+                   next((f"{lbl} is not the inverse of any member of S" for lbl in sprime_labels
+                         if inverse(cd.connection[lbl]).image not in s_images), None)),
+            _holds("every member of S' has order at least 3",
+                   next((f"{lbl} has order {order}" for lbl, order in orders.items()
+                         if order < 3), None)),
+            _holds("G(G, {e}, S) is hierarchical in the given order",
+                   "<S> != G" if len(chain[-1]) != len(cd.group) else
+                   "a subgroup repeats" if repeat is not None else None),
+            _holds("|<s_1, s_2>| != 4",
+                   "|<s_1,s_2>| = 4" if len(cd.closure(s_labels[:2])) == 4 else None))
 
     return _conclude("hierarchical_gen_c", cd, hyps, len(cd.labels))
 
@@ -338,5 +312,5 @@ def verify_edge_connectivity(cd: CosetDigraph) -> HypothesisReport:
     _require_connected(cd)
     lam, _ = edge_connectivity(cd.graph, cd.base_vertex, stabiliser_translations(cd))
     d = cd.degree
-    hyps = (Hypothesis("instance is connected", True),)
+    hyps = (_holds("instance is connected", None),)
     return HypothesisReport("edgec", hyps, True, d, lam, lam == d)

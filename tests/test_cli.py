@@ -661,7 +661,9 @@ class TestCpCommand:
             monkeypatch.setattr(cp, "cp_degree_profile",
                                 lambda p, cd: original(CPParams(p.n, p.k + 1), cd))
         elif fact == "multiplier":
-            monkeypatch.setattr(cp, "verify_neighbor_multiplier", lambda p, f, cd: False)
+            original = cp.verify_neighbor_multiplier
+            monkeypatch.setattr(cp, "verify_neighbor_multiplier",
+                                lambda p, f, cd: original(CPParams(p.n, p.k - 1), f, cd))
         elif fact == "normalizer":
             monkeypatch.setattr(cp, "normalizes", lambda g, h: False)
         else:

@@ -27,27 +27,27 @@ class TestDedupe:
 
     def test_trivial_subgroup_keeps_distinct(self):
         triv = trivial_subgroup(self.s4)
-        gens = [perm("(1 2)", 4), perm("(1 3)", 4)]
-        assert dedupe_generators(triv, gens) == gens
+        pairs = [("a", perm("(1 2)", 4)), ("b", perm("(1 3)", 4))]
+        assert dedupe_generators(triv, pairs) == pairs
 
     def test_same_double_coset_collapses(self):
         h = subgroup_generated(self.s4, trivial_subgroup(self.s4),
                                [perm("(3 4)", 4)])
         s = perm("(1 2 3 4)", 4)
         hsh = compose(compose(perm("(3 4)", 4), s), perm("(3 4)", 4))
-        assert dedupe_generators(h, [s, hsh]) == [s]
+        assert dedupe_generators(h, [("s", s), ("hsh", hsh)]) == [("s", s)]
 
     def test_cp_generators_survive(self):
         h = subgroup_generated(self.s4, trivial_subgroup(self.s4),
                                [perm("(3 4)", 4)])
         g2, g3 = perm("(1 2)", 4), perm("(1 3 2)", 4)
-        assert dedupe_generators(h, [g2, g3]) == [g2, g3]
+        assert dedupe_generators(h, [("g2", g2), ("g3", g3)]) == [("g2", g2), ("g3", g3)]
 
     def test_generator_in_h_rejected(self):
         h = subgroup_generated(self.s4, trivial_subgroup(self.s4),
                                [perm("(3 4)", 4)])
         with pytest.raises(GroupError):
-            dedupe_generators(h, [perm("(3 4)", 4)])
+            dedupe_generators(h, [("t", perm("(3 4)", 4))])
 
 
 class TestBuild:

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from corpus import cp_instance
-from cosetkit import (CosetDigraphSpec, GroupError, Permutation, build, coset,
+from cosetkit import (CosetDigraphSpec, CrossCheckError, GroupError, Permutation, build, coset,
                       hierarchical_order_search, perms, subgroup_generated,
                       verify_neighbor_multiplier, verify_prefix_structure)
 from cosetkit.cp import (CPParams, _labeled_bfs_isomorphic, cp_degree_profile, gamma,
@@ -115,19 +115,26 @@ class TestProofFacts:
         # F = H has exactly k neighbors through the top generator
         for n, k in [(4, 2), (5, 2), (5, 3)]:
             cd = cp_instance(n, k)
-            assert verify_neighbor_multiplier(CPParams(n, k), cd.subgroup, cd)
+            assert verify_neighbor_multiplier(CPParams(n, k), cd.subgroup, cd) is None
 
     def test_neighbor_multiplier_whole_prefix_group(self):
         cd = cp_instance(5, 2)
         gp = subgroup_generated(cd.group, cd.subgroup,
                                 [gamma(2, 5), gamma(3, 5)])
         assert len(gp) // len(cd.subgroup) == 6
-        assert verify_neighbor_multiplier(CPParams(5, 2), gp, cd)
+        assert verify_neighbor_multiplier(CPParams(5, 2), gp, cd) is None
 
     def test_neighbor_multiplier_intermediate(self):
         cd = cp_instance(4, 2)
         f = subgroup_generated(cd.group, cd.subgroup, [gamma(2, 4)])
-        assert verify_neighbor_multiplier(CPParams(4, 2), f, cd)
+        assert verify_neighbor_multiplier(CPParams(4, 2), f, cd) is None
+
+    def test_neighbor_multiplier_raises_on_a_miscount(self):
+        # read with k = 1 on CP(5, 2), F = H reaches 2 cosets through
+        # gamma(5), not |F/H| * k = 1
+        cd = cp_instance(5, 2)
+        with pytest.raises(CrossCheckError, match=r"has 2 neighbors through gamma\(5\)"):
+            verify_neighbor_multiplier(CPParams(5, 1), cd.subgroup, cd)
 
     def test_neighbor_multiplier_rejects_outside_range(self):
         cd = cp_instance(4, 2)

@@ -1,6 +1,7 @@
 """tools/cp_ladder.py: what a rung records from its child process."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,36 @@ def test_no_report_reads_null(ladder, fake_src):
     entry = ladder.run_instance(fake_src, 6, 2)
     assert entry["exit_code"] == 1
     assert all(entry[key] is None for key in ladder.REPORT_KEYS)
+
+
+def test_each_rung_keeps_its_fastest_run_or_its_failure(ladder, tmp_path, monkeypatch, capsys):
+    # two rungs, two checkouts; the stub reads each call's wall time and exit
+    # code from a script keyed by (checkout, rung, run)
+    monkeypatch.setattr(ladder, "LADDER", ((6, 1), (6, 2)))
+    srcs = {name: tmp_path / name / "src" for name in ("a", "b")}
+    for src in srcs.values():
+        src.mkdir(parents=True)
+    walls = {("a", 1): [0.5, 0.3, 0.4], ("b", 1): [0.2, 0.6, 0.7],
+             ("a", 2): [0.1, 0.2, 0.3], ("b", 2): [0.1, 0.2, 0.3]}
+    exits = {("a", 2): [0, 2, 0], ("b", 2): [0, 0, None]}
+    calls = []
+
+    def stub(src, n, k):
+        name = src.parent.name
+        run = sum(1 for c in calls if c[:2] == (name, k))
+        calls.append((name, k, run))
+        code = exits.get((name, k), [0] * ladder.RUNS)[run]
+        return {"n": n, "k": k, "exit_code": code,
+                "wall_s": None if code is None else walls[name, k][run]}
+
+    monkeypatch.setattr(ladder, "run_instance", stub)
+    assert ladder.main([f"{name}={src.parent}" for name, src in srcs.items()]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert ladder.RUNS == 3 and doc["runs"] == 3
+    assert [c[:2] for c in calls] == [("a", 1), ("b", 1), ("b", 1), ("a", 1), ("a", 1), ("b", 1),
+                                      ("a", 2), ("b", 2), ("b", 2), ("a", 2), ("a", 2), ("b", 2)]
+    kept = {name: [(i["exit_code"], i["wall_s"]) for i in doc["checkouts"][name]["instances"]]
+            for name in srcs}
+    # the fastest run where every run exits 0; the failed run otherwise,
+    # an exit 2 or a stop (null exit code and wall time) alike
+    assert kept == {"a": [(0, 0.3), (2, 0.2)], "b": [(0, 0.2), (None, None)]}

@@ -6,7 +6,7 @@ import pytest
 
 from corpus import (CORPUS_NAMES, HIERARCHICAL_CAYLEY_NAMES, SMALL_NAMES, cayley_spec,
                     cp_instance, instance, Q8_I, Q8_J)
-from cosetkit import (CosetDigraphSpec, GroupError, build, check_decomposition,
+from cosetkit import (CosetDigraph, CosetDigraphSpec, GroupError, build, check_decomposition,
                       check_hierarchical_gen, check_hierarchical_gen_c,
                       check_tower, hierarchical_order_search, inverse,
                       parse_cycles, verify_edge_connectivity, verify_hierarchical_cayley)
@@ -260,7 +260,119 @@ class TestHierarchicalGenC:
         assert "S^-1" in failing[0].description
 
 
+def _sym(n: int, subgroup: str, connection) -> CosetDigraph:
+    """The instance on S_n over H = <subgroup>, with connection set the
+    (label, cycles) pairs."""
+    full_cycle = "(" + " ".join(map(str, range(1, n + 1))) + ")"
+    spec = CosetDigraphSpec(n, (parse_cycles("(1 2)", n), parse_cycles(full_cycle, n)),
+                            (parse_cycles(subgroup, n),),
+                            tuple((lbl, parse_cycles(text, n)) for lbl, text in connection))
+    return build(spec)
+
+
+def _klein() -> CosetDigraph:
+    return build(cayley_spec(4, (("x", parse_cycles("(1 2)", 4)),
+                                 ("y", parse_cycles("(3 4)", 4)))))
+
+
+_DISTINCT = "the subgroups G_i are distinct"
+_CLASH = "same-double-coset members of S_i+1 generate equal <H, r>"
+_BASE = "kappa(G(G_1, H, S_1)) = d_1"
+_HIERARCHICAL = "the ordering is hierarchical (subgroups all distinct)"
+_DEGREES = "d_s_i+1 <= d_i for every i"
+_INDEX = "|G_1/H| >= d_2"
+_STRAY = "S' is a subset of S^-1"
+_LOW = "every member of S' has order at least 3"
+_GEN_C = "G(G, {e}, S) is hierarchical in the given order"
+_PAIR = "|<s_1, s_2>| != 4"
+
+# every failing branch of every checker, with the whole hypothesis list it
+# reports: (description, holds, witness), witness None exactly where it holds
+WITNESS_TABLE = [
+    pytest.param(lambda: check_decomposition(instance("s4_mixed"), ["a", "b"], ["ba"]),
+                 [("G' = <H, R1> contains no member of R2", False, "ba lies in G'"),
+                  ("same G'-double-coset members of R2 generate equal <H, r>", True, None)],
+                 id="decomposition-offender"),
+    pytest.param(lambda: check_decomposition(instance("s4_mixed"), ["a"], ["b", "ba"]),
+                 [("G' = <H, R1> contains no member of R2", True, None),
+                  ("same G'-double-coset members of R2 generate equal <H, r>", False,
+                   "G'bG' = G'baG' but <H,b> != <H,ba>")],
+                 id="decomposition-clash"),
+    pytest.param(lambda: check_tower(instance("s4_mixed"), [["a"], ["b"], ["ba"]]),
+                 [(_DISTINCT, False, "G_2 = G_3"), (_CLASH, True, None), (_BASE, True, None),
+                  ("|G_i/H| >= d_i+1 for every i", True, None)],
+                 id="tower-repeat"),
+    pytest.param(lambda: check_tower(instance("s4_mixed"), [["a"], ["b", "ba"]]),
+                 [(_DISTINCT, True, None),
+                  (_CLASH, False, "G_1bG_1 = G_1baG_1 but <H,b> != <H,ba>"),
+                  (_BASE, True, None),
+                  ("|G_i/H| >= d_i+1 for every i", False, "|G_1/H| = 2 < d_2 = 3")],
+                 id="tower-clash"),
+    pytest.param(lambda: check_tower(instance("s4_mixed"), [["a", "b", "ba"]], "corollary1_1"),
+                 [(_DISTINCT, True, None), (_CLASH, True, None),
+                  (_BASE, False, "kappa = 2, d_1 = 3"), (_INDEX, True, None),
+                  ("d_S_i+1 <= d_i for every i", True, None)],
+                 id="tower-base-kappa"),
+    pytest.param(lambda: check_tower(instance("s4_transpositions"), [["t1"], ["t2", "t3"]]),
+                 [(_DISTINCT, True, None), (_CLASH, True, None), (_BASE, True, None),
+                  ("|G_i/H| >= d_i+1 for every i", False, "|G_1/H| = 2 < d_2 = 3")],
+                 id="corollary1-index"),
+    pytest.param(lambda: check_tower(instance("s4_transpositions"), [["t1"], ["t2", "t3"]],
+                                     "corollary1_1"),
+                 [(_DISTINCT, True, None), (_CLASH, True, None), (_BASE, True, None),
+                  (_INDEX, False, "|G_1/H| = 2 < d_2 = 3"),
+                  ("d_S_i+1 <= d_i for every i", False, "d_S_2 = 2 > d_1 = 1")],
+                 id="corollary1_1-index-and-degree"),
+    pytest.param(lambda: check_hierarchical_gen(instance("s4_mixed"), ["a", "b", "ba"]),
+                 [(_HIERARCHICAL, False, "<H,a,b> = <H,a,b,ba>"), (_DEGREES, True, None),
+                  (_INDEX, True, None)],
+                 id="hierarchical_gen-repeat"),
+    pytest.param(lambda: check_hierarchical_gen(
+                     _sym(5, "(4 5)", [("s", "(1 3 2)"), ("t", "(1 4 5)(2 3)")]), ["s", "t"]),
+                 [(_HIERARCHICAL, True, None), (_DEGREES, False, "d_t = 2 > d_1 = 1"),
+                  (_INDEX, True, None)],
+                 id="hierarchical_gen-degree"),
+    pytest.param(lambda: check_hierarchical_gen(
+                     _sym(4, "(3 4)", [("s", "(2 3)"), ("t", "(1 2 3)")]), ["s", "t"]),
+                 [(_HIERARCHICAL, True, None), (_DEGREES, True, None),
+                  (_INDEX, False, "|G_1/H| = 3 < d_2 = 4")],
+                 id="hierarchical_gen-index"),
+    pytest.param(lambda: check_hierarchical_gen(instance("s4_two_gens"), ["t", "c"], "hier1"),
+                 [(_HIERARCHICAL, True, None), (_DEGREES, True, None),
+                  ("Hs_1^-1 H != Hs_1 H", False, "Hs_1H = Hs_1^-1H for s_1 = t")],
+                 id="hier1"),
+    pytest.param(lambda: check_hierarchical_gen(instance("s4_mixed")),
+                 [("a hierarchical ordering exists", False,
+                   "no generator ordering grows at every step")],
+                 id="no-ordering"),
+    pytest.param(lambda: check_hierarchical_gen_c(_klein(), ["x"], ["y"]),
+                 [(_STRAY, False, "y is not the inverse of any member of S"),
+                  (_LOW, False, "y has order 2"), (_GEN_C, False, "<S> != G"),
+                  (_PAIR, True, None)],
+                 id="hierarchical_gen_c-stray-and-low-order"),
+    pytest.param(lambda: check_hierarchical_gen_c(instance("q8"), ["i"], ["j"]),
+                 [(_STRAY, False, "j is not the inverse of any member of S"),
+                  (_LOW, True, None), (_GEN_C, False, "<S> != G"),
+                  (_PAIR, False, "|<s_1,s_2>| = 4")],
+                 id="hierarchical_gen_c-not-generating"),
+    pytest.param(lambda: check_hierarchical_gen_c(instance("s4_mixed"), ["a", "b", "ba"], []),
+                 [(_STRAY, True, None), (_LOW, True, None),
+                  (_GEN_C, False, "a subgroup repeats"), (_PAIR, True, None)],
+                 id="hierarchical_gen_c-repeat"),
+    pytest.param(lambda: check_hierarchical_gen_c(_klein(), ["x", "y"], []),
+                 [(_STRAY, True, None), (_LOW, True, None), (_GEN_C, True, None),
+                  (_PAIR, False, "|<s_1,s_2>| = 4")],
+                 id="hierarchical_gen_c-pair-of-order-four"),
+]
+
+
 class TestFailureWitnesses:
+    @pytest.mark.parametrize("check, expected", WITNESS_TABLE)
+    def test_witness_table(self, check, expected):
+        report = check()
+        assert [(h.description, h.holds, h.witness) for h in report.hypotheses] == expected
+        assert not report.applicable and report.implied_bound is None and report.consistent
+
     def test_double_coset_clash_witness_text(self):
         cd = instance("s4_mixed")
         tower = check_tower(cd, [["a"], ["b", "ba"]], "corollary1")
