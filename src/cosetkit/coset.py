@@ -89,7 +89,7 @@ class CosetDigraph:
     def successors(self, label: str) -> list[list[int]]:
         """Row u: the out-neighbors of vertex u in the edge class of
         ``label``, ascending."""
-        return _targets(self.group, self.subgroup, self.connection[label])
+        return _rows(self.subgroup, _tables(self.group, self.subgroup, self.connection[label]))
 
     def vertex_of(self, g: Permutation) -> int:
         """Vertex index of the coset gH."""
@@ -98,8 +98,8 @@ class CosetDigraph:
     def left_translation(self, g: int) -> list[int]:
         """Left translation xH -> gxH by the element with id g, as a vertex
         permutation."""
-        table, product = self.subgroup.cosets(), self.group.product_id
-        return [table.coset_of[product(g, rep)] for rep in table.rep_ids]
+        table, left = self.subgroup.cosets(), self.group.left(g)
+        return [table.coset_of[left[rep]] for rep in table.rep_ids]
 
     def __repr__(self) -> str:
         return (f"<coset digraph |G|={len(self.group)} |H|={len(self.subgroup)} "
@@ -110,25 +110,30 @@ def dedupe_generators(H: SubgroupHandle, pairs) -> list[tuple[str, Permutation]]
     """One (label, s) pair per double coset HsH, first occurrence wins: s
     lies in an earlier HtH exactly when its coset sH is one of HtH's."""
     survivors: list[tuple[str, Permutation]] = []
-    cosets: list[set[int]] = []
     for lbl, s in pairs:
         if s in H:
             raise GroupError(f"connection permutation {s} lies in H")
         coset = H.cosets().coset_of[H.parent.id_of(s)]
-        if any(coset in dc for dc in cosets):
-            continue
-        survivors.append((lbl, s))
-        cosets.append(double_coset_cosets(H, s))
+        if not any(coset in double_coset_cosets(H, t) for _, t in survivors):
+            survivors.append((lbl, s))
     return survivors
 
 
-def _targets(group: GroupContext, subgroup: SubgroupHandle,
-             s: Permutation) -> list[list[int]]:
-    """Row u: the cosets of x*s over x in coset u of ``subgroup``, ascending;
-    the out-neighbors of vertex u under s."""
-    right_s, table = group.right(s), subgroup.cosets()
-    coset_of = table.coset_of
-    return [sorted({coset_of[right_s[x]] for x in coset}) for coset in table.members]
+def _tables(group: GroupContext, subgroup: SubgroupHandle,
+            s: Permutation) -> list[list[int]]:
+    """The right tables of one representative r per left coset rH in HsH,
+    s itself for sH: the out-neighbors of coset gH under s are the g*r*H."""
+    table = subgroup.cosets()
+    home = table.coset_of[group.id_of(s)]
+    return [group.right(s if c == home else group.elements[table.rep_ids[c]])
+            for c in sorted(double_coset_cosets(subgroup, s))]
+
+
+def _rows(subgroup: SubgroupHandle, tables: list[list[int]]) -> list[list[int]]:
+    """Row u: the distinct cosets of rep_u * r over the representatives r
+    whose right tables are ``tables``, ascending."""
+    coset_of = subgroup.cosets().coset_of
+    return [sorted({coset_of[t[rep]] for t in tables}) for rep in subgroup.cosets().rep_ids]
 
 
 def build(spec: CosetDigraphSpec) -> CosetDigraph:
@@ -140,8 +145,9 @@ def build(spec: CosetDigraphSpec) -> CosetDigraph:
 
 def _build_on(spec: CosetDigraphSpec, group: GroupContext,
               subgroup: SubgroupHandle) -> CosetDigraph:
-    """The instance of ``spec`` on an already enumerated G and H: the
-    targets of vertex u under s are the cosets of x*s over x in coset u."""
+    """The instance of ``spec`` on an already enumerated G and H: row u
+    holds the cosets of rep_u * r over every label's representatives r of
+    HsH/H, and must hold d distinct ones."""
     for lbl, p in spec.connection_set:
         if p not in group:
             raise GroupError(f"connection permutation {lbl!r} = {p} is not in G")
@@ -149,18 +155,14 @@ def _build_on(spec: CosetDigraphSpec, group: GroupContext,
     connection = dict(dedupe_generators(subgroup, spec.connection_set))
     degrees = {lbl: double_coset_index(subgroup, p) for lbl, p in connection.items()}
 
-    adjacency: list[set[int]] = [set() for _ in subgroup.cosets().members]
-    for lbl, s in connection.items():
-        for u, targets in enumerate(_targets(group, subgroup, s)):
-            if len(targets) != degrees[lbl]:
-                raise CrossCheckError(
-                    f"vertex {u} has {len(targets)} out-edges for {lbl!r}, "
-                    f"expected d_s = {degrees[lbl]}")
-            if not adjacency[u].isdisjoint(targets):
-                raise CrossCheckError(f"edge classes overlap at vertex {u}")
-            adjacency[u].update(targets)
+    d = sum(degrees.values())
+    rows = _rows(subgroup, [t for s in connection.values() for t in _tables(group, subgroup, s)])
+    for u, row in enumerate(rows):
+        if len(row) != d:
+            raise CrossCheckError(
+                f"vertex {u} has {len(row)} distinct out-neighbors, expected d = {d}")
 
-    graph = Digraph([sorted(row) for row in adjacency])
+    graph = Digraph(rows)
     return CosetDigraph(spec, group, subgroup, left_coset_reps(group, subgroup), graph,
                         degrees, connection)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from array import array
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, CrossCheckError, GroupError
@@ -148,11 +149,6 @@ def print_cycles(pi: Permutation) -> str:
     return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycles)
 
 
-def _product(x: tuple[int, ...], padded: tuple[int, ...]) -> tuple[int, ...]:
-    """Image tuple of x*y, given y's image as ``padded = (0,) + y.image``."""
-    return tuple(map(padded.__getitem__, x))
-
-
 def _trusted(image: tuple[int, ...]) -> Permutation:
     """The Permutation of an image tuple already known to be a bijection."""
     pi = object.__new__(Permutation)
@@ -200,26 +196,26 @@ class GroupContext:
             out.append(maps[s][out[p]])
         return out
 
+    def left(self, g: int) -> list[int]:
+        """L_g, not cached: ``table[i]`` = id of elements[g] * elements[i]."""
+        return self._descend(g, self._tables)
+
     def _inverses(self) -> list[int]:
         """``inv[i]`` = id of x_i^-1, built once, as g_step[i]^-1 * x_parent[i]^-1."""
         if self._inverse is None:
-            lefts = [self._descend(self.id_of(inverse(self.elements[t[0]])), self._tables)
+            lefts = [self.left(self.id_of(inverse(self.elements[t[0]])))
                      for t in self._tables]     # t[0] is the id of t's generator
             self._inverse = self._descend(0, lefts)
         return self._inverse
 
     def right(self, p: Permutation) -> list[int]:
         """``table[i]`` = id of elements[i] * p; p must lie in the group.
-        x*p = (p^-1 * x^-1)^-1, so the table is inv . left(p^-1) . inv."""
+        x*p = (p^-1 * x^-1)^-1, so the table is inv . L_{p^-1} . inv."""
         table = self._right.get(p.image)
         if table is None:
-            inv, left = self._inverses(), self._descend(self.id_of(inverse(p)), self._tables)
+            inv, left = self._inverses(), self.left(self.id_of(inverse(p)))
             table = self._right[p.image] = [inv[left[x]] for x in inv]
         return table
-
-    def product_id(self, a: int, b: int) -> int:
-        """Id of elements[a] * elements[b]."""
-        return self.index[_product(self.elements[a].image, (0,) + self.elements[b].image)]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -264,7 +260,7 @@ class SubgroupHandle:
     """A subgroup of a GroupContext: ``ids`` ascending, and the generator
     ids it was closed over.  Its coset table is built on first use."""
 
-    __slots__ = ("parent", "ids", "id_set", "generator_ids", "_cosets")
+    __slots__ = ("parent", "ids", "id_set", "generator_ids", "_cosets", "_double")
 
     def __init__(self, parent: GroupContext, ids: tuple[int, ...],
                  generator_ids: tuple[int, ...]):
@@ -273,6 +269,7 @@ class SubgroupHandle:
         self.id_set = frozenset(ids)
         self.generator_ids = generator_ids
         self._cosets: CosetTable | None = None
+        self._double: dict[tuple[int, ...], frozenset[int]] = {}
 
     @property
     def members(self) -> tuple[Permutation, ...]:
@@ -306,8 +303,9 @@ def enumerate_closure(degree: int, gens: Sequence[Permutation],
                       cap: int = DEFAULT_ENUM_CAP) -> GroupContext:
     """Enumerate the group generated by ``gens`` by breadth-first closure
     under right multiplication, recording each generator's right table and
-    each element's BFS parent and generator index on the way.  Raises
-    CapExceeded past ``cap`` elements, its message giving the partial count."""
+    each element's BFS parent and generator index on the way; x*g is x's
+    getter applied to (0,) + g.image.  Raises CapExceeded past ``cap``
+    elements, its message giving the partial count."""
     gens = tuple(gens)
     for g in gens:
         if g.degree != degree:
@@ -318,8 +316,10 @@ def enumerate_closure(degree: int, gens: Sequence[Permutation],
     tables: list[list[int]] = [[] for _ in gens]
     parent, step = array("i"), array("i")   # the BFS tree, for elements 1, 2, ...
     for x_id, x in enumerate(images):   # FIFO: the list grows while it is read
+        # one index gives itemgetter a scalar, so degree 1 slices instead
+        product = itemgetter(*x) if degree > 1 else itemgetter(slice(1, 2))
         for s, (g, table) in enumerate(zip(padded, tables)):
-            w = _product(x, g)
+            w = product(g)
             i = index.get(w)
             if i is None:
                 if len(images) >= cap:
@@ -372,13 +372,16 @@ def left_coset_reps(G: GroupContext, H: SubgroupHandle) -> list[Permutation]:
     return [G.elements[i] for i in H.cosets().rep_ids]
 
 
-def double_coset_cosets(H: SubgroupHandle, s: Permutation) -> set[int]:
-    """The left cosets of H inside HsH, as coset-table numbers."""
+def double_coset_cosets(H: SubgroupHandle, s: Permutation) -> frozenset[int]:
+    """The left cosets of H inside HsH, as coset-table numbers; computed
+    once per s and H."""
     if s not in H.parent:
         raise GroupError("element not in the parent group of H")
-    coset_of = H.cosets().coset_of
-    right_s = H.parent.right(s)
-    return {coset_of[right_s[h]] for h in H.ids}
+    found = H._double.get(s.image)
+    if found is None:
+        coset_of, right_s = H.cosets().coset_of, H.parent.right(s)
+        found = H._double[s.image] = frozenset(coset_of[right_s[h]] for h in H.ids)
+    return found
 
 
 def double_coset(H: SubgroupHandle, s: Permutation) -> frozenset[Permutation]:
@@ -404,10 +407,5 @@ def double_coset_index(H: SubgroupHandle, s: Permutation) -> int:
 
 def normalizes(g: Permutation, H: SubgroupHandle) -> bool:
     """True iff gHg^-1 = H as sets, i.e. the left coset gH equals the right
-    coset Hg."""
-    if g not in H.parent:
-        raise GroupError("element not in the parent group of H")
-    table = H.cosets()
-    left = table.members[table.coset_of[H.parent.index[g.image]]]
-    right_g = H.parent.right(g)
-    return set(left) == {right_g[h] for h in H.ids}
+    coset Hg: HgH, which holds both, is the one left coset gH."""
+    return len(double_coset_cosets(H, g)) == 1

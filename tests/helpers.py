@@ -17,9 +17,11 @@ orbit-minima oracle joins the vertices by union-find, as the reference for
 the orbits of the flow routines' sinks, which come from one breadth-first
 walk over ``perms.orbit``.  The plain ordering search tries every strictly
 growing generator ordering, as the reference for the search that skips a
-subgroup from which no ordering completes.  The right-table oracle
-multiplies image tuples and looks each product up, as the reference for
-the right tables read off the enumeration's breadth-first tree.  The atom
+subgroup from which no ordering completes.  The right- and left-table
+oracles multiply image tuples and look each product up, as the reference
+for the tables read off the enumeration's breadth-first tree, and the
+enumeration oracle forms each product as a tuple, as the reference for the
+enumeration's per-element getters.  The atom
 oracle runs the package's one-size subset scan at sizes 1, 2, ... until
 one hits: the atoms of a digraph, for the tests that need them whole.
 
@@ -71,6 +73,32 @@ def right_table_oracle(G, p) -> list[int]:
     return [G.index[apply_then(x.image, p.image)] for x in G.elements]
 
 
+def left_table_oracle(G, g: int) -> list[int]:
+    """``table[i]`` = id of G.elements[g] * G.elements[i], by one tuple
+    product and one index lookup per element."""
+    x = G.elements[g].image
+    return [G.index[apply_then(x, p.image)] for p in G.elements]
+
+
+def enumeration_oracle(degree: int, gens):
+    """(images, generator tables, BFS parents, BFS steps) of the closure of
+    the Permutations ``gens`` under right multiplication, in first-in
+    first-out discovery order, one tuple product per element and generator."""
+    images = [tuple(range(1, degree + 1))]
+    index = {images[0]: 0}
+    tables, parent, step = [[] for _ in gens], [], []
+    for x_id, x in enumerate(images):
+        for s, g in enumerate(gens):
+            w = apply_then(x, g.image)
+            if w not in index:
+                index[w] = len(images)
+                images.append(w)
+                parent.append(x_id)
+                step.append(s)
+            tables[s].append(index[w])
+    return images, tables, parent, step
+
+
 @dataclass(frozen=True)
 class CosetDigraphOracle:
     reps: tuple[tuple[int, ...], ...]
@@ -118,14 +146,19 @@ def coset_digraph_oracle(spec) -> CosetDigraphOracle:
 
 def assert_matches_object_path(cd) -> None:
     """``cd`` agrees with ``coset_digraph_oracle`` of its spec in
-    representatives and their order, base vertex, degrees and edge
-    classes."""
+    representatives and their order, base vertex, degrees, edge classes
+    and adjacency rows, each row the sorted union of the classes at u."""
     want = coset_digraph_oracle(cd.spec)
     assert tuple(p.image for p in cd.vertices) == want.reps
     assert cd.base_vertex == want.base_vertex
     assert cd.degrees == want.degrees
     assert {lbl: frozenset((u, v) for u, row in enumerate(cd.successors(lbl)) for v in row)
             for lbl in cd.labels} == want.edge_class
+    rows = [set() for _ in want.reps]
+    for edges in want.edge_class.values():
+        for u, v in edges:
+            rows[u].add(v)
+    assert [list(row) for row in cd.graph.adj] == [sorted(row) for row in rows]
 
 
 def sub_instance_oracle(cd, labels):

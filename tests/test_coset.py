@@ -9,7 +9,8 @@ import pytest
 import helpers
 from corpus import (CORPUS_SPECS, cp_instance, instance, mixed_gens_spec,
                     z6_disconnected_spec, z6_spec, CORPUS_NAMES, SMALL_NAMES)
-from cosetkit import (CosetDigraphSpec, CrossCheckError, GroupContext, GroupError,
+from cosetkit import coset
+from cosetkit import (CosetDigraphSpec, CrossCheckError, GroupError,
                       build, compose, dedupe_generators, double_coset,
                       enumerate_closure, generation_connectivity, inverse,
                       is_strongly_connected, parse_cycles, subgroup_generated,
@@ -77,6 +78,15 @@ class TestBuild:
         a, b = perm("(1 2)", 4), perm("(1 2 3 4)", 4)
         with pytest.raises(GroupError):
             build(CosetDigraphSpec(4, (a, b), (a,), (("a", a),)))
+
+    def test_a_repeated_representative_fails_the_row_check(self, monkeypatch):
+        # CP(4, 2)'s γ(3) has d_s = 2; its last table becomes its first
+        tables = coset._tables
+        monkeypatch.setattr(coset, "_tables",
+                            lambda group, sub, p: (t := tables(group, sub, p))[:-1] + t[:1])
+        with pytest.raises(CrossCheckError,
+                           match=r"^vertex 0 has 2 distinct out-neighbors, expected d = 3$"):
+            build(CORPUS_SPECS["cp_4_2"]())
 
     def test_loop_free_and_degrees(self):
         for name in SMALL_NAMES:
@@ -225,10 +235,12 @@ class TestTransposeSpec:
 
     @pytest.mark.parametrize("name", ["s4_mixed", "cp_4_2", "d5"])
     def test_forward_tables_in_place_of_inverse_ones_raise(self, name, monkeypatch):
+        # only the rows read the forward tables: deduplication and the
+        # degrees still see the inverses, so the build itself passes
         cd = build(CORPUS_SPECS[name]())
-        right = GroupContext.right
-        monkeypatch.setattr(GroupContext, "right",
-                            lambda group, p: right(group, inverse(p)))
+        tables = coset._tables
+        monkeypatch.setattr(coset, "_tables",
+                            lambda group, sub, p: tables(group, sub, inverse(p)))
         with pytest.raises(CrossCheckError, match="reversed digraph"):
             transpose_spec(cd)
 

@@ -14,7 +14,7 @@ from cosetkit import (CapExceeded, GroupError, Permutation, canonical_coset_rep,
 from corpus import CORPUS_SPECS
 from cosetkit.cp import CPParams, cp_spec
 from cosetkit.perms import orbit
-from helpers import apply_then, right_table_oracle
+from helpers import apply_then, enumeration_oracle, left_table_oracle, right_table_oracle
 
 
 def perm(text, n):
@@ -151,6 +151,30 @@ class TestClosure:
         assert [g.image for g in ctx1] == [g.image for g in ctx2]
 
 
+class TestEnumerationProducts:
+    """The enumeration's getter products give the elements, generator
+    tables and breadth-first tree of one tuple product per element and
+    generator.  Degree 1 has its own case: a getter of one index returns a
+    scalar."""
+
+    @pytest.mark.parametrize("degree, gens", [
+        (1, []),
+        (1, ["()"]),
+        (2, ["(1 2)"]),
+        (2, ["()", "(1 2)"]),
+        (5, ["(1 2)", "(1 2 3 4 5)"]),
+        (7, ["(1 2)", "(1 2 3 4 5 6 7)"]),
+    ])
+    def test_matches_tuple_products(self, degree, gens):
+        gens = [perm(g, degree) for g in gens]
+        G = enumerate_closure(degree, gens)
+        images, tables, parent, step = enumeration_oracle(degree, gens)
+        assert [g.image for g in G.elements] == images
+        assert G.index == {image: i for i, image in enumerate(images)}
+        assert G._tables == tables
+        assert [list(a) for a in G._tree] == [parent, step]
+
+
 GROUP_SPECS = dict(CORPUS_SPECS, **{f"cp_{n}": functools.partial(cp_spec, CPParams(n, 1))
                                     for n in range(2, 7)})
 
@@ -187,6 +211,19 @@ class TestRightTables:
         rng = random.Random(7)
         for p in rng.sample(s7.elements, 12):
             assert s7.right(p) == right_table_oracle(s7, p)
+
+
+class TestLeftTables:
+    """L_g read off the breadth-first tree equals the tuple products."""
+
+    def test_every_element_of_s5(self):
+        s5 = fresh_group("cp_5")
+        assert all(s5.left(g) == left_table_oracle(s5, g) for g in range(len(s5)))
+
+    def test_random_elements_of_s7(self):
+        s7 = enumerate_closure(7, [perm("(1 2)", 7), perm("(1 2 3 4 5 6 7)", 7)])
+        for g in random.Random(7).sample(range(len(s7)), 12):
+            assert s7.left(g) == left_table_oracle(s7, g)
 
 
 class TestSubgroups:
