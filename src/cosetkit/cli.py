@@ -23,10 +23,8 @@ import time
 
 from . import atoms as atoms_mod
 from . import theorems
-from .coset import (CosetDigraph, CosetDigraphSpec, build,
-                    generation_connectivity, oracle_kappa, stabiliser_translations)
+from .coset import CosetDigraph, CosetDigraphSpec, build, generation_connectivity, oracle_kappa
 from .cp import CPParams, cp_spec, verify_cp_argument
-from .digraph import edge_connectivity
 from .errors import (CapExceeded, CrossCheckError, GroupError,
                      NotStronglyConnected, SpecError)
 from .perms import DEFAULT_ENUM_CAP, parse_cycles, print_cycles
@@ -205,10 +203,9 @@ def analyze_instance(spec: CosetDigraphSpec, settings: dict, with_timings: bool 
     group = stage("kappa_group_s", atoms_mod.kappa_group_theoretic, cd).kappa_group
     agree = group == oracle
     report["kappa"] = {"oracle": oracle, "group_theoretic": group, "agree": agree}
-    # kappa <= lambda <= d (Whitney), or kappa = lambda = n - 1 = d if complete
-    report["lambda"] = stage("lambda_s", lambda: oracle if agree and oracle == cd.degree else
-                             edge_connectivity(cd.graph, cd.base_vertex,
-                                               stabiliser_translations(cd))[0])
+    # a connected coset digraph is vertex-transitive, so lambda = d
+    # (Hamidoune); `check edgec` computes it by flow
+    report["lambda"] = stage("lambda_s", lambda: cd.degree)
 
     if cd.graph.vertex_count <= bruteforce_cap and not cd.graph.is_complete():
         theory = stage("atoms_s", atoms_mod.verify_atom_theory, cd)

@@ -89,7 +89,8 @@ class CosetDigraph:
     def successors(self, label: str) -> list[list[int]]:
         """Row u: the out-neighbors of vertex u in the edge class of
         ``label``, ascending."""
-        return _rows(self.subgroup, _tables(self.group, self.subgroup, self.connection[label]))
+        return coset_rows(self.group, self.subgroup, [self.connection[label]],
+                          range(len(self.vertices)))
 
     def vertex_of(self, g: Permutation) -> int:
         """Vertex index of the coset gH."""
@@ -129,11 +130,13 @@ def _tables(group: GroupContext, subgroup: SubgroupHandle,
             for c in sorted(double_coset_cosets(subgroup, s))]
 
 
-def _rows(subgroup: SubgroupHandle, tables: list[list[int]]) -> list[list[int]]:
-    """Row u: the distinct cosets of rep_u * r over the representatives r
-    whose right tables are ``tables``, ascending."""
-    coset_of = subgroup.cosets().coset_of
-    return [sorted({coset_of[t[rep]] for t in tables}) for rep in subgroup.cosets().rep_ids]
+def coset_rows(group: GroupContext, subgroup: SubgroupHandle, perms,
+               cosets) -> list[list[int]]:
+    """Row c for each coset c in ``cosets``: the distinct cosets of rep_c * r
+    over the representatives r of HsH/H for s in ``perms``, ascending."""
+    coset_of, rep_ids = subgroup.cosets().coset_of, subgroup.cosets().rep_ids
+    tables = [t for s in perms for t in _tables(group, subgroup, s)]
+    return [sorted({coset_of[t[rep]] for t in tables}) for rep in map(rep_ids.__getitem__, cosets)]
 
 
 def build(spec: CosetDigraphSpec) -> CosetDigraph:
@@ -156,7 +159,7 @@ def _build_on(spec: CosetDigraphSpec, group: GroupContext,
     degrees = {lbl: double_coset_index(subgroup, p) for lbl, p in connection.items()}
 
     d = sum(degrees.values())
-    rows = _rows(subgroup, [t for s in connection.values() for t in _tables(group, subgroup, s)])
+    rows = coset_rows(group, subgroup, connection.values(), range(len(subgroup.cosets().rep_ids)))
     for u, row in enumerate(rows):
         if len(row) != d:
             raise CrossCheckError(

@@ -23,9 +23,9 @@ SUBSET_BUDGET = 2_000_000
 class Digraph:
     """Immutable digraph on vertices 0..n-1; no loops, no parallel edges.
     Its transpose and strongly connected components are computed once, on
-    first use, and so is each check of symmetries."""
+    first use."""
 
-    __slots__ = ("adj", "_scc", "_transpose", "_checked")
+    __slots__ = ("adj", "_scc", "_transpose")
 
     def __init__(self, adjacency: Sequence[Sequence[int]]):
         adj = tuple(map(tuple, adjacency))
@@ -41,7 +41,6 @@ class Digraph:
         self.adj = adj
         self._scc: tuple[tuple[int, ...], ...] | None = None
         self._transpose: Digraph | None = None
-        self._checked: set[tuple] = set()
 
     @property
     def vertex_count(self) -> int:
@@ -92,7 +91,7 @@ def transpose(g: Digraph) -> Digraph:
             for v in row:
                 rows[v].append(u)
         gt = g._transpose = Digraph.__new__(Digraph)    # reversed rows need no checks
-        gt.adj, gt._scc, gt._transpose, gt._checked = tuple(map(tuple, rows)), None, g, set()
+        gt.adj, gt._scc, gt._transpose = tuple(map(tuple, rows)), None, g
     return g._transpose
 
 
@@ -288,7 +287,7 @@ def _require_strongly_connected(g: Digraph) -> None:
         raise NotStronglyConnected("digraph is not strongly connected")
 
 
-def _check_automorphisms(g: Digraph, base: int, symmetries: tuple[tuple[int, ...], ...]) -> None:
+def _check_automorphisms(g: Digraph, base: int, symmetries: Sequence[Sequence[int]]) -> None:
     n = g.vertex_count
     for phi in symmetries:
         if sorted(phi) != list(range(n)):
@@ -297,7 +296,6 @@ def _check_automorphisms(g: Digraph, base: int, symmetries: tuple[tuple[int, ...
             raise CrossCheckError(f"a symmetry moves the base vertex {base}")
         if any({phi[v] for v in g.adj[u]} != set(g.adj[phi[u]]) for u in range(n)):
             raise CrossCheckError("a symmetry is not an automorphism of the digraph")
-    g._checked.add((base, symmetries))
 
 
 def _sinks(g: Digraph, base: int, symmetries: Sequence[Sequence[int]], size: int,
@@ -306,10 +304,8 @@ def _sinks(g: Digraph, base: int, symmetries: Sequence[Sequence[int]], size: int
     ``skip`` among the first ``size`` places in breadth-first order from
     ``base`` along ``g``.  Each symmetry must be an automorphism fixing
     ``base``, so that local connectivities from ``base`` are constant on
-    orbits: checked once per digraph."""
-    key = (base, tuple(map(tuple, symmetries)))
-    if key not in g._checked:
-        _check_automorphisms(g, *key)
+    orbits: checked on every call."""
+    _check_automorphisms(g, base, symmetries)
     order, seen, sinks, covered = [base], {base}, [], {base, *skip}
     for u in order:                     # the list grows as it is read
         for v in g.adj[u]:

@@ -232,28 +232,25 @@ class GroupContext:
 
 class CosetTable:
     """The left cosets of a subgroup H, numbered by first occurrence in the
-    parent's element order: ``coset_of[i]`` is the coset of element i,
-    ``rep_ids[c]`` the id of coset c's lexicographically least element and
-    ``members[c]`` the ids in coset c."""
+    parent's element order: ``coset_of[i]`` is the coset of element i and
+    ``rep_ids[c]`` the id of coset c's lexicographically least element."""
 
-    __slots__ = ("coset_of", "rep_ids", "members")
+    __slots__ = ("coset_of", "rep_ids")
 
     def __init__(self, H: "SubgroupHandle"):
         G = H.parent
         tables = [G.right(G.elements[i]) for i in H.generator_ids]
         image = [g.image for g in G.elements]
         coset_of = [-1] * len(G)
-        rep_ids, members = [], []
+        rep_ids: list[int] = []
         for x in range(len(G)):
             if coset_of[x] < 0:         # xH is the orbit of x under H's generators
                 block = orbit(tables, [x])
                 for y in block:
-                    coset_of[y] = len(members)
-                members.append(tuple(block))
+                    coset_of[y] = len(rep_ids)
                 rep_ids.append(min(block, key=image.__getitem__))
         self.coset_of = coset_of
         self.rep_ids = rep_ids
-        self.members = members
 
 
 class SubgroupHandle:
@@ -385,9 +382,9 @@ def double_coset_cosets(H: SubgroupHandle, s: Permutation) -> frozenset[int]:
 
 
 def double_coset(H: SubgroupHandle, s: Permutation) -> frozenset[Permutation]:
-    """The set HsH = {h1*s*h2 : h1, h2 in H}."""
-    members, elements = H.cosets().members, H.parent.elements
-    return frozenset(elements[i] for c in double_coset_cosets(H, s) for i in members[c])
+    """The set HsH = {h1*s*h2 : h1, h2 in H}: the elements whose coset lies in it."""
+    cosets = double_coset_cosets(H, s)
+    return frozenset(g for g, c in zip(H.parent.elements, H.cosets().coset_of) if c in cosets)
 
 
 def double_coset_index(H: SubgroupHandle, s: Permutation) -> int:

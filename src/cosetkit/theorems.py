@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .coset import (CosetDigraph, generation_connectivity, oracle_kappa,
+from .coset import (CosetDigraph, coset_rows, generation_connectivity, oracle_kappa,
                     stabiliser_translations)
 from .digraph import Digraph, edge_connectivity, vertex_connectivity_transitive
 from .errors import CrossCheckError, GroupError
@@ -44,17 +44,15 @@ def sub_instance(cd: CosetDigraph, labels) -> tuple[Digraph, tuple[tuple[int, ..
     """The instance on G' = <H, labels> with the same H, read off ``cd``,
     with H's left translations restricted to it.  Its vertices are cd's
     cosets inside G', ascending, so the base vertex stays 0; row v holds the
-    cosets of x*s over x in coset v and s in ``labels``."""
-    table = cd.subgroup.cosets()
-    coset_of, members = table.coset_of, table.members
+    cosets of rep_v * r over the representatives r of HsH/H, s in ``labels``."""
+    coset_of = cd.subgroup.cosets().coset_of
     inside = sorted({coset_of[x] for x in cd.closure(labels).ids})
     local = {c: i for i, c in enumerate(inside)}
-    rights = [cd.group.right(cd.connection[lbl]) for lbl in labels]
-    rows = [{coset_of[right[x]] for right in rights for x in members[c]} for c in inside]
+    rows = coset_rows(cd.group, cd.subgroup, [cd.connection[lbl] for lbl in labels], inside)
     if not set().union(*rows) <= local.keys():
         raise CrossCheckError(f"an edge leaves <H, {', '.join(labels)}>")
     moves = tuple(tuple(local[phi[c]] for c in inside) for phi in stabiliser_translations(cd))
-    return Digraph([sorted(map(local.__getitem__, row)) for row in rows]), moves
+    return Digraph([[local[v] for v in row] for row in rows]), moves
 
 
 def _require_connected(cd: CosetDigraph) -> None:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -180,28 +181,32 @@ class TestAnalyze:
             atoms.verify_atom_theory(coset.build(spec))
         assert run(capsys, "analyze", path) == (2, "", f"internal inconsistency: {message}\n")
 
-    @pytest.mark.parametrize("doc, oracle_is_d, kappa, code, flows", [
-        (CP42_SPEC, False, 3, 0, 0),
-        (S4_MIXED_SPEC, False, 2, 0, 1),
-        (THIN_CUT_SPEC, False, 2, 0, 1),
-        (S4_MIXED_SPEC, True, 3, 2, 1),
+    @pytest.mark.parametrize("doc, oracle_is_d, kappa, code", [
+        (CP42_SPEC, False, 3, 0),
+        (S4_MIXED_SPEC, False, 2, 0),
+        (THIN_CUT_SPEC, False, 2, 0),
+        (S4_MIXED_SPEC, True, 3, 2),
     ], ids=("kappa_is_d", "s4_mixed", "thin_cut", "disagreement"))
-    def test_lambda_flow_runs_only_where_kappa_is_not_d(self, tmp_path, capsys, monkeypatch,
-                                                        doc, oracle_is_d, kappa, code, flows):
-        # lambda = d = 3 needs no flow where both routes give kappa = d; the
-        # disagreement has the flow route say d where the group route says 2
+    def test_analyze_runs_no_lambda_flow(self, tmp_path, capsys, monkeypatch,
+                                         doc, oracle_is_d, kappa, code):
+        # lambda = d = 3 by the theorem, with no flow, whatever kappa is; the
+        # disagreement has the flow route say d where the group route says 2.
+        # The flow is counted wherever edge_connectivity is bound.
         calls = []
-        original = cli.edge_connectivity
+        original = digraph.edge_connectivity
 
         def counted(*args):
             calls.append(args)
             return original(*args)
-        monkeypatch.setattr(cli, "edge_connectivity", counted)
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "cosetkit" and \
+                    getattr(module, "edge_connectivity", None) is original:
+                monkeypatch.setattr(module, "edge_connectivity", counted)
         if oracle_is_d:
             monkeypatch.setattr(cli, "oracle_kappa", lambda cd: cd.degree)
         exit_code, out, _ = run(capsys, "analyze", write_spec(tmp_path, doc))
         report = json.loads(out)
-        assert (exit_code, len(calls)) == (code, flows)
+        assert (exit_code, len(calls)) == (code, 0)
         assert (report["kappa"]["oracle"], report["lambda"]) == (kappa, 3)
 
     def test_connectivity_and_flow_kappa_computed_once(self, tmp_path, capsys,
@@ -246,7 +251,8 @@ class TestAnalyze:
                                       ("cp", "--n", "5", "--k", "2")],
                              ids=("s4_mixed", "cp42", "cp52"))
     def test_sink_orbits_computed_once(self, tmp_path, capsys, monkeypatch, argv):
-        # kappa and lambda share one check of the stabiliser translations
+        # flow kappa, the one flow analyze runs, checks the stabiliser
+        # translations once
         calls = []
         original = digraph._check_automorphisms
         monkeypatch.setattr(digraph, "_check_automorphisms",

@@ -496,8 +496,8 @@ class TestStabiliserOrbits:
                 routine(directed_cycle(6), 0, [[0, 1, 1, 3, 4, 5]])
 
     def test_sinks_are_shared_and_new_symmetries_checked(self, monkeypatch):
-        # kappa and lambda from one base share one run of the symmetry check;
-        # new symmetries, or a failed check, run it again
+        # every call runs one symmetry check, on the same symmetries and the
+        # same digraph as well as on new ones; a failed check raises
         calls = []
         original = digraph._check_automorphisms
         monkeypatch.setattr(digraph, "_check_automorphisms",
@@ -505,15 +505,18 @@ class TestStabiliserOrbits:
         g = Digraph([[(v - 1) % 6, (v + 1) % 6] for v in range(6)])
         reflection = (0, 5, 4, 3, 2, 1)
         assert vertex_connectivity_transitive(g, 0, [reflection])[0] == 2
-        assert edge_connectivity(g, 0, [list(reflection)])[0] == 2
         assert len(calls) == 1
-        assert edge_connectivity(g, 0, ())[0] == 2
+        assert edge_connectivity(g, 0, [list(reflection)])[0] == 2
         assert len(calls) == 2
+        assert edge_connectivity(g, 0, [list(reflection)])[0] == 2
+        assert len(calls) == 3
+        assert edge_connectivity(g, 0, ())[0] == 2
+        assert len(calls) == 4
         swap = [0, 2, 1, 3, 4, 5]          # a bijection fixing 0
         for routine in (vertex_connectivity_transitive, edge_connectivity):
             with pytest.raises(CrossCheckError, match="not an automorphism"):
                 routine(g, 0, [swap])
-        assert len(calls) == 4
+        assert len(calls) == 6
 
 
 class TestAtoms:

@@ -15,9 +15,9 @@ places must equal the full pass over every orbit, with a certificate that
 separates its pair, and κ must equal networkx's node connectivity of the
 exported edge list, a third oracle that shares no code with cosetkit's flows.
 On every connected draw of these specs, of the thin-cut specs and of
-Cayley digraphs of Z_n x Z_m on random connection sets, the flow λ lies
-between κ and d, equals d wherever κ = d, and is what ``analyze``
-reports, with or without a flow.
+Cayley digraphs of Z_n x Z_m on random connection sets, the flow λ equals
+d, κ < d included, which is the value ``analyze`` reports by the theorem
+λ = d, without a flow.
 On a family built by enumeration, whose transpose atoms are smaller than
 its forward atoms, with its points renamed at random, the atom theory and
 the analyze report must use the transpose side and its atom.
@@ -229,17 +229,14 @@ def product_cayley_specs(draw):
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.one_of(coset_specs(), product_cayley_specs(), thin_cut_specs()))
-def test_lambda_is_d_wherever_kappa_is_d(spec):
-    # kappa <= lambda <= d on every connected draw, lambda = d by flow on
-    # every draw with kappa = d, and analyze reports the flow's lambda
+def test_flow_lambda_is_d_on_every_connected_draw(spec):
+    # the theorem analyze reports, tested by flow: lambda = d on every
+    # connected draw, kappa < d included, and analyze reports that value
     cd = build(spec)
     if not generation_connectivity(cd)[0]:
         return
-    kappa, d = oracle_kappa(cd), cd.degree
     lam, _ = edge_connectivity(cd.graph, cd.base_vertex, stabiliser_translations(cd))
-    assert kappa <= lam <= d
-    if kappa == d:
-        assert lam == d
+    assert lam == cd.degree
     report, code = cli.analyze_instance(spec, {"bruteforce_cap": 0})
     assert (code, report["lambda"]) == (0, lam)
 
